@@ -4,13 +4,12 @@
 //! untrained bundle when none is given), then drives it over raw TCP the
 //! same way an external client would:
 //!
-//! * **compare mode** (default): a fixed old-vs-new front-end matrix —
-//!   threaded one-shot (the pre-reactor baseline), reactor one-shot,
-//!   reactor keep-alive at the same offered load, and reactor
-//!   keep-alive + pipelining at 10x — each row against a freshly started
-//!   server. Writes every row plus the reactor config to `BENCH_serve.json`.
+//! * **compare mode** (default): a fixed client matrix — one-shot,
+//!   keep-alive at the same offered load, and keep-alive + pipelining at
+//!   10x — each row against a freshly started server. Writes every row
+//!   plus the reactor config to `BENCH_serve.json`.
 //! * **`--mode oneshot|keepalive`**: a single custom row
-//!   (`--frontend`, `--reuse`, `--pipeline`, `--rps`, `--secs`).
+//!   (`--reuse`, `--pipeline`, `--rps`, `--secs`, `--workers`).
 //! * **`--smoke`**: one request per endpoint with response assertions, a
 //!   keep-alive reuse check, and a clean-drain check — the CI gate. No
 //!   file output.
@@ -32,13 +31,14 @@ use privim_gnn::{GnnConfig, GnnModel};
 use privim_rt::json::Value;
 use privim_rt::{ChaCha8Rng, SeedableRng};
 use privim_serve::metrics::parse_counter;
-use privim_serve::{bundle, start, FrontEnd, ServeConfig, ServerHandle};
+use privim_serve::{bundle, start, ServeConfig, ServerHandle};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-/// Workload mix by request index: mostly embeds (the batched hot path),
+/// Workload mix by request index: mostly embeds (a lookup once the
+/// first one has computed the scores),
 /// a band of influence queries (cache-heavy), a trickle of seed queries.
 fn endpoint_for(i: usize) -> &'static str {
     match i % 10 {
@@ -261,10 +261,9 @@ impl ClientMode {
     }
 }
 
-/// One benchmark row: start a fresh server with `frontend`, drive it at
-/// `rps` for `secs` with the given client mode, return the row JSON.
+/// One benchmark row: start a fresh server, drive it at `rps` for `secs`
+/// with the given client mode, return the row JSON.
 struct RowSpec {
-    frontend: FrontEnd,
     mode: ClientMode,
     /// Requests per connection before the keep-alive client reconnects.
     reuse: usize,
@@ -272,13 +271,7 @@ struct RowSpec {
     pipeline: usize,
     rps: usize,
     secs: u64,
-    /// Server-side micro-batch window. The embed path does one
-    /// full-graph forward per pass regardless of batch size, so a wider
-    /// window trades per-request latency for pass depth (throughput).
-    batch_window_ms: u64,
-    /// Server worker threads. Batch depth is capped by the worker count
-    /// (each in-flight embed occupies a worker while it coalesces), so
-    /// the high-load row needs more of these mostly-blocked threads.
+    /// Server worker threads.
     workers: usize,
 }
 
@@ -387,14 +380,8 @@ fn keepalive_sender(
 fn run_row(bundle_path: Option<&str>, spec: &RowSpec) -> Value {
     let b = load_bundle(bundle_path);
     let n_nodes = b.graph.num_nodes();
-    // Workers spend most of their time blocked (socket reads, batcher
-    // waits), so the count is deliberately NOT tied to core count: on a
-    // small machine extra workers are what turn queue depth into batch
-    // depth for /v1/embed.
     let cfg = ServeConfig {
         workers: spec.workers,
-        frontend: spec.frontend,
-        batch_window: Duration::from_millis(spec.batch_window_ms),
         ..ServeConfig::default()
     };
     let handle = start(b, cfg).unwrap_or_else(|e| {
@@ -406,8 +393,7 @@ fn run_row(bundle_path: Option<&str>, spec: &RowSpec) -> Value {
     let gap = Duration::from_secs_f64(1.0 / spec.rps as f64);
     let senders = 16usize.min(total.max(1));
     let label = format!(
-        "{:?}/{}{}",
-        spec.frontend,
+        "{}{}",
         spec.mode.name(),
         if spec.mode == ClientMode::KeepAlive {
             format!("(reuse={}, pipeline={})", spec.reuse, spec.pipeline)
@@ -458,8 +444,6 @@ fn run_row(bundle_path: Option<&str>, spec: &RowSpec) -> Value {
 
     let (_, exposition) = request(port, "GET", "/metrics", "");
     let counter = |name: &str| parse_counter(&exposition, name).unwrap_or(0);
-    let batch_passes = counter("privim_batch_forward_passes_total");
-    let batch_served = counter("privim_batch_batched_requests_total");
     let cache_hits = counter("privim_cache_hits_total");
     let cache_misses = counter("privim_cache_misses_total");
     let shed = counter("privim_shed_total");
@@ -503,25 +487,20 @@ fn run_row(bundle_path: Option<&str>, spec: &RowSpec) -> Value {
     let throughput = ok as f64 / elapsed;
     println!(
         "{ok}/{total} ok in {elapsed:.2} s = {throughput:.0} req/s; \
-         batch: {batch_served} reqs over {batch_passes} passes; \
          cache: {cache_hits} hits / {cache_misses} misses; shed: {shed}; \
          conns: {connections} ({reuses} keep-alive reuses)"
     );
 
     Value::obj(vec![
-        ("frontend", Value::Str(format!("{:?}", spec.frontend).to_lowercase())),
         ("client_mode", Value::Str(spec.mode.name().to_string())),
         ("reuse", Value::Num(spec.reuse as f64)),
         ("pipeline", Value::Num(spec.pipeline as f64)),
         ("offered_rps", Value::Num(spec.rps as f64)),
-        ("batch_window_ms", Value::Num(spec.batch_window_ms as f64)),
         ("workers", Value::Num(spec.workers as f64)),
         ("duration_secs", Value::Num(spec.secs as f64)),
         ("requests", Value::Num(total as f64)),
         ("completed_ok", Value::Num(ok as f64)),
         ("achieved_rps", Value::Num(throughput)),
-        ("batch_forward_passes", Value::Num(batch_passes as f64)),
-        ("batch_served_requests", Value::Num(batch_served as f64)),
         ("cache_hits", Value::Num(cache_hits as f64)),
         ("cache_misses", Value::Num(cache_misses as f64)),
         ("shed", Value::Num(shed as f64)),
@@ -558,9 +537,9 @@ fn write_doc(rows: Vec<Value>, out: &str) {
             "note",
             Value::Str(
                 "open-loop arrivals measured from scheduled send time (coordinated-omission \
-                 safe); latencies include connect + queue wait; the threaded/oneshot row is \
-                 the pre-reactor front end; absolute numbers are hardware-dependent (see \
-                 EXPERIMENTS.md)"
+                 safe); latencies include connect + queue wait; embed rows measure a lookup \
+                 of scores computed once on the first embed; absolute numbers are \
+                 hardware-dependent (see EXPERIMENTS.md)"
                     .to_string(),
             ),
         ),
@@ -581,10 +560,8 @@ fn main() {
     let mut secs = 5u64;
     let mut out = "BENCH_serve.json".to_string();
     let mut mode: Option<ClientMode> = None;
-    let mut frontend = FrontEnd::Reactor;
     let mut reuse = 64usize;
     let mut pipeline = 1usize;
-    let mut batch_window_ms = 2u64;
     let mut workers = 8usize;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -604,28 +581,14 @@ fn main() {
                     }
                 }
             }
-            "--frontend" => {
-                frontend = it
-                    .next()
-                    .and_then(|s| FrontEnd::parse(s))
-                    .unwrap_or_else(|| {
-                        eprintln!("error: --frontend expects reactor|threaded");
-                        std::process::exit(2);
-                    })
-            }
             "--reuse" => reuse = it.next().and_then(|s| s.parse().ok()).unwrap_or(reuse),
             "--pipeline" => pipeline = it.next().and_then(|s| s.parse().ok()).unwrap_or(pipeline),
-            "--batch-window-ms" => {
-                batch_window_ms =
-                    it.next().and_then(|s| s.parse().ok()).unwrap_or(batch_window_ms)
-            }
             "--workers" => workers = it.next().and_then(|s| s.parse().ok()).unwrap_or(workers),
             other => {
                 eprintln!(
                     "error: unknown flag {other} (flags: --smoke, --bundle <path>, --rps <n>, \
                      --secs <n>, --out <path>, --mode oneshot|keepalive, \
-                     --frontend reactor|threaded, --reuse <n>, --pipeline <n>, \
-                     --batch-window-ms <n>, --workers <n>)"
+                     --reuse <n>, --pipeline <n>, --workers <n>)"
                 );
                 std::process::exit(2);
             }
@@ -637,14 +600,13 @@ fn main() {
         let n_nodes = b.graph.num_nodes();
         let cfg = ServeConfig {
             workers: 8,
-            frontend,
             ..ServeConfig::default()
         };
         let handle = start(b, cfg).unwrap_or_else(|e| {
             eprintln!("error: start server: {e}");
             std::process::exit(1);
         });
-        println!("serving bundle on port {} (|V|={n_nodes}, {frontend:?})", handle.port());
+        println!("serving bundle on port {} (|V|={n_nodes})", handle.port());
         smoke(handle, n_nodes);
         return;
     }
@@ -654,51 +616,37 @@ fn main() {
         Some(m) => vec![run_row(
             bundle_path.as_deref(),
             &RowSpec {
-                frontend,
                 mode: m,
                 reuse,
                 pipeline,
                 rps: rps.max(1),
                 secs: secs.max(1),
-                batch_window_ms,
                 workers: workers.max(1),
             },
         )],
-        // Compare matrix: the pre-reactor baseline, the reactor under the
-        // identical one-shot client, keep-alive at equal offered load
-        // (p99 comparison), and keep-alive + pipelining at 10x offered
-        // load (throughput headroom).
-        None => {
-            // The 10x row also raises the worker count: batch depth is
-            // capped by workers (each coalescing embed occupies one), and
-            // the embed pass costs the same whatever its depth, so extra
-            // mostly-blocked workers convert queue depth into pass depth
-            // instead of backlog.
-            let specs = [
-                (FrontEnd::Threaded, ClientMode::OneShot, 1, rps, batch_window_ms, workers),
-                (FrontEnd::Reactor, ClientMode::OneShot, 1, rps, batch_window_ms, workers),
-                (FrontEnd::Reactor, ClientMode::KeepAlive, 1, rps, batch_window_ms, workers),
-                (FrontEnd::Reactor, ClientMode::KeepAlive, 8, rps * 10, batch_window_ms, 64),
-            ];
-            specs
-                .iter()
-                .map(|&(frontend, mode, pipeline, rps, batch_window_ms, workers)| {
-                    run_row(
-                        bundle_path.as_deref(),
-                        &RowSpec {
-                            frontend,
-                            mode,
-                            reuse,
-                            pipeline,
-                            rps: rps.max(1),
-                            secs: secs.max(1),
-                            batch_window_ms,
-                            workers,
-                        },
-                    )
-                })
-                .collect()
-        }
+        // Compare matrix: one-shot and keep-alive clients at equal
+        // offered load (p99 comparison), and keep-alive + pipelining at 10x
+        // offered load (throughput headroom).
+        None => [
+            (ClientMode::OneShot, 1, rps),
+            (ClientMode::KeepAlive, 1, rps),
+            (ClientMode::KeepAlive, 8, rps * 10),
+        ]
+        .iter()
+        .map(|&(mode, pipeline, rps)| {
+            run_row(
+                bundle_path.as_deref(),
+                &RowSpec {
+                    mode,
+                    reuse,
+                    pipeline,
+                    rps: rps.max(1),
+                    secs: secs.max(1),
+                    workers: workers.max(1),
+                },
+            )
+        })
+        .collect(),
     };
     write_doc(rows, &out);
 }

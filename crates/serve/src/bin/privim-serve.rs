@@ -7,23 +7,22 @@
 //!              [--quant none|int8|f16]
 //! privim-serve run --bundle bundle.json [--addr 127.0.0.1:7878]
 //!              [--workers 4] [--queue-cap 128] [--deadline-ms 5000]
-//!              [--batch-window-ms 2] [--runs 64]
-//!              [--frontend reactor|threaded] [--idle-timeout-ms 30000]
+//!              [--runs 64] [--idle-timeout-ms 30000]
 //!              [--header-timeout-ms 10000] [--max-pipeline 32]
 //! ```
 //!
 //! `pack` trains a model with the library pipeline (or on a synthetic
 //! Barabási–Albert graph when no edge list is given) and writes the
 //! versioned, checksummed bundle; `run` loads a bundle, serves it, and
-//! drains in-flight requests on SIGINT/SIGTERM before exiting.
+//! drains in-flight requests on SIGINT/SIGTERM before exiting. The server
+//! is Linux only (epoll front end).
 
 use privim::{export_serve_artifact, EvalSetup, Method};
 use privim_gnn::QuantGnnModel;
 use privim_graph::{io::read_edge_list, Graph};
 use privim_rt::{fsio, ChaCha8Rng, SeedableRng};
 use privim_serve::{
-    bundle, start, wal, DurabilityConfig, FrontEnd, FsyncPolicy, LedgerConfig, LedgerState,
-    ServeConfig,
+    bundle, start, wal, DurabilityConfig, FsyncPolicy, LedgerConfig, LedgerState, ServeConfig,
 };
 use std::fs::File;
 use std::io::{BufReader, Write};
@@ -44,8 +43,7 @@ fn usage() -> ! {
                 [--retry-after 60]]
   privim-serve run --bundle <bundle.json> [--addr 127.0.0.1:7878]
                [--workers 4] [--queue-cap 128] [--deadline-ms 5000]
-               [--batch-window-ms 2] [--runs 64]
-               [--frontend reactor|threaded] [--idle-timeout-ms 30000]
+               [--runs 64] [--idle-timeout-ms 30000]
                [--header-timeout-ms 10000] [--max-pipeline 32]
                [--wal <path>] [--no-wal] [--fsync always|never|every=N]
                [--compact-every 256]"
@@ -78,9 +76,7 @@ struct Flags {
     workers: usize,
     queue_cap: usize,
     deadline_ms: u64,
-    batch_window_ms: u64,
     runs: usize,
-    frontend: FrontEnd,
     idle_timeout_ms: u64,
     header_timeout_ms: u64,
     max_pipeline: usize,
@@ -111,9 +107,7 @@ fn parse_flags(args: &[String]) -> Flags {
         workers: 4,
         queue_cap: 128,
         deadline_ms: 5_000,
-        batch_window_ms: 2,
         runs: 64,
-        frontend: FrontEnd::Reactor,
         idle_timeout_ms: 30_000,
         header_timeout_ms: 10_000,
         max_pipeline: 32,
@@ -166,13 +160,7 @@ fn parse_flags(args: &[String]) -> Flags {
             "--deadline-ms" => {
                 f.deadline_ms = val("--deadline-ms").parse().unwrap_or_else(|_| usage())
             }
-            "--batch-window-ms" => {
-                f.batch_window_ms = val("--batch-window-ms").parse().unwrap_or_else(|_| usage())
-            }
             "--runs" => f.runs = val("--runs").parse().unwrap_or_else(|_| usage()),
-            "--frontend" => {
-                f.frontend = FrontEnd::parse(&val("--frontend")).unwrap_or_else(|| usage())
-            }
             "--idle-timeout-ms" => {
                 f.idle_timeout_ms = val("--idle-timeout-ms").parse().unwrap_or_else(|_| usage())
             }
@@ -292,7 +280,6 @@ fn cmd_pack(f: &Flags) {
 
 static STOP: AtomicBool = AtomicBool::new(false);
 
-#[cfg(unix)]
 fn install_signal_handlers() {
     extern "C" {
         fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
@@ -308,9 +295,6 @@ fn install_signal_handlers() {
         signal(SIGTERM, on_signal);
     }
 }
-
-#[cfg(not(unix))]
-fn install_signal_handlers() {}
 
 fn cmd_run(f: &Flags) {
     let path = f.bundle.clone().unwrap_or_else(|| usage());
@@ -375,20 +359,17 @@ fn cmd_run(f: &Flags) {
         workers: f.workers.max(1),
         queue_cap: f.queue_cap.max(1),
         deadline: Duration::from_millis(f.deadline_ms.max(1)),
-        batch_window: Duration::from_millis(f.batch_window_ms),
         default_runs: f.runs.max(1),
         durability,
-        frontend: f.frontend,
         idle_timeout: Duration::from_millis(f.idle_timeout_ms.max(1)),
         header_timeout: Duration::from_millis(f.header_timeout_ms.max(1)),
         max_pipeline: f.max_pipeline.max(1),
         ..ServeConfig::default()
     };
     install_signal_handlers();
-    let frontend = cfg.frontend;
     let handle = start(b, cfg).unwrap_or_else(|e| fail(e));
     println!(
-        "serving on port {} ({} workers, {frontend:?} front end); ctrl-c to drain and exit",
+        "serving on port {} ({} workers); ctrl-c to drain and exit",
         handle.port(),
         f.workers
     );

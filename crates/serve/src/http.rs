@@ -1,15 +1,11 @@
 //! HTTP/1.1 framing: incremental request parsing and response assembly.
 //!
-//! Just enough of RFC 9112 for the serve endpoints, but built for two
-//! front ends:
-//!
-//! * the **threaded** front end reads one request per blocking stream
-//!   ([`read_request`]);
-//! * the **reactor** front end ([`crate::reactor`]) accumulates bytes in
-//!   a per-connection buffer and calls the incremental [`parse_one`] —
-//!   which either yields a complete request plus the byte count it
-//!   consumed (so the *next* pipelined request can be parsed from the
-//!   remainder), or reports that more bytes are needed.
+//! Just enough of RFC 9112 for the serve endpoints. The reactor
+//! ([`crate::reactor`]) accumulates bytes in a per-connection buffer and
+//! calls the incremental [`parse_one`] — which either yields a complete
+//! request plus the byte count it consumed (so the *next* pipelined
+//! request can be parsed from the remainder), or reports that more bytes
+//! are needed. [`response_frame`] assembles each reply as one buffer.
 //!
 //! Keep-alive semantics follow RFC 9112 §9.3: HTTP/1.1 persists unless
 //! the request says `Connection: close`; HTTP/1.0 closes unless it says
@@ -23,9 +19,6 @@
 //! guessing at framing is a smuggling vector) with **400** — always
 //! followed by a connection close, since framing can't be trusted after
 //! a parse error.
-
-use privim_rt::{PrivimError, PrivimResult};
-use std::io::{Read, Write};
 
 /// Header section cap (bytes).
 pub const MAX_HEADER_BYTES: usize = 16 * 1024;
@@ -235,29 +228,6 @@ fn wants_keep_alive(http_10: bool, headers: &[(String, String)]) -> bool {
     }
 }
 
-/// Read and parse one request from a blocking stream (the threaded
-/// front end's entry point). Returns the request plus its keep-alive
-/// flag; the threaded front end serves one request per connection and
-/// ignores the flag, but the error's `status` (431 vs 400) is honored.
-pub fn read_request(r: &mut impl Read) -> Result<ParsedRequest, HttpError> {
-    let mut buf = Vec::with_capacity(512);
-    let mut chunk = [0u8; 4096];
-    loop {
-        if let Some(parsed) = parse_one(&buf)? {
-            return Ok(parsed);
-        }
-        let n = r
-            .read(&mut chunk)
-            .map_err(|e| HttpError::bad(format!("reading request: {e}")))?;
-        if n == 0 {
-            return Err(HttpError::bad(
-                "connection closed before the request completed",
-            ));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    }
-}
-
 /// Canonical reason phrase for the status codes the server emits.
 pub fn status_reason(status: u16) -> &'static str {
     match status {
@@ -304,31 +274,6 @@ pub fn response_frame(
     let mut frame = frame.into_bytes();
     frame.extend_from_slice(body);
     frame
-}
-
-/// Write a complete `Connection: close` response.
-pub fn write_response(
-    w: &mut impl Write,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-) -> PrivimResult<()> {
-    write_response_with_headers(w, status, content_type, &[], body)
-}
-
-/// [`write_response`] with additional response headers (e.g. the
-/// `Retry-After` a budget-exhausted `429` carries).
-pub fn write_response_with_headers(
-    w: &mut impl Write,
-    status: u16,
-    content_type: &str,
-    extra_headers: &[(&str, String)],
-    body: &[u8],
-) -> PrivimResult<()> {
-    let frame = response_frame(status, content_type, extra_headers, body, false);
-    w.write_all(&frame)
-        .and_then(|_| w.flush())
-        .map_err(|e| PrivimError::io("writing response", e))
 }
 
 #[cfg(test)]
@@ -464,38 +409,34 @@ mod tests {
         assert_eq!(parse_one(te_cl).unwrap_err().status, 400);
         let gzip = b"POST /x HTTP/1.1\r\nTransfer-Encoding: gzip\r\n\r\n";
         assert_eq!(parse_one(gzip).unwrap_err().status, 400);
-        assert_eq!(read_request(&mut &chunked[..]).unwrap_err().status, 400);
     }
 
     #[test]
-    fn rejects_truncation_garbage_and_limits() {
-        assert!(read_request(&mut &b"GET /x HTTP/1.1\r\n"[..]).is_err());
-        assert!(read_request(&mut &b"nonsense\r\n\r\n"[..]).is_err());
-        assert!(read_request(&mut &b"GET /x SPDY/3\r\n\r\n"[..]).is_err());
+    fn rejects_garbage_and_limits_and_waits_on_truncation() {
+        for bad in [
+            &b"nonsense\r\n\r\n"[..],
+            &b"GET /x SPDY/3\r\n\r\n"[..],
+            &b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n"[..],
+        ] {
+            let err = parse_one(bad).unwrap_err();
+            assert_eq!(err.status, 400, "{:?}", String::from_utf8_lossy(bad));
+        }
         let huge = format!(
             "POST /x HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
             MAX_BODY_BYTES + 1
         );
-        assert!(read_request(&mut huge.as_bytes()).is_err());
-        // body shorter than declared
+        assert_eq!(parse_one(huge.as_bytes()).unwrap_err().status, 400);
+        // A truncated head and a body shorter than declared are not errors
+        // yet: more bytes may still arrive.
+        assert!(parse_one(b"GET /x HTTP/1.1\r\n").unwrap().is_none());
         let short = b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc";
-        assert!(read_request(&mut &short[..]).is_err());
-    }
-
-    #[test]
-    fn blocking_read_request_matches_incremental_parse() {
-        let raw = b"POST /v1/seeds HTTP/1.1\r\nHost: h\r\nContent-Length: 8\r\n\r\n{\"k\": 3}";
-        let p = read_request(&mut &raw[..]).unwrap();
-        assert_eq!(p.request.path, "/v1/seeds");
-        assert_eq!(p.request.body, b"{\"k\": 3}");
-        assert!(p.keep_alive);
+        assert!(parse_one(short).unwrap().is_none());
     }
 
     #[test]
     fn response_framing_is_complete() {
-        let mut out = Vec::new();
-        write_response(&mut out, 200, "application/json", b"{\"ok\":true}").unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let frame = response_frame(200, "application/json", &[], b"{\"ok\":true}", false);
+        let text = String::from_utf8(frame).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 11\r\n"));
         assert!(text.contains("Connection: close\r\n"));
@@ -518,16 +459,14 @@ mod tests {
 
     #[test]
     fn extra_headers_ride_in_the_head_section() {
-        let mut out = Vec::new();
-        write_response_with_headers(
-            &mut out,
+        let frame = response_frame(
             429,
             "application/json",
             &[("Retry-After", "60".to_string())],
             b"{}",
-        )
-        .unwrap();
-        let text = String::from_utf8(out).unwrap();
+            false,
+        );
+        let text = String::from_utf8(frame).unwrap();
         assert!(text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
         assert!(text.contains("Retry-After: 60\r\n"));
         let head = text.split_once("\r\n\r\n").unwrap().0;

@@ -9,13 +9,16 @@
 //! zero-external-dependency policy extends to the server: no tokio, no
 //! hyper, no serde).
 //!
+//! **Linux only**: the front end is an epoll reactor over raw
+//! `extern "C"` shims, and the crate refuses to build elsewhere.
+//!
 //! ## Endpoints
 //!
 //! | route | what it does |
 //! |---|---|
 //! | `POST /v1/influence` | spread of a seed set (Monte-Carlo IC), LRU-cached |
 //! | `POST /v1/seeds` | top-`k` seeds via resumable CELF (cached pick order) |
-//! | `POST /v1/embed` | GNN scores for requested nodes, micro-batched |
+//! | `POST /v1/embed` | GNN scores for requested nodes, computed once on first use |
 //! | `GET /metrics` | plain-text exposition: counters, latency histograms, per-tenant budgets |
 //! | `GET /healthz` | liveness |
 //!
@@ -27,25 +30,23 @@
 //!
 //! ## Production behaviours
 //!
-//! * **Micro-batching** ([`batch::Batcher`]): concurrent `/v1/embed`
-//!   requests coalesce into one full-graph forward pass through the
-//!   worker-pool-backed tensor kernels; each request then reads its rows.
+//! * **Scores computed once**: served scores are a pure function of the
+//!   immutable `(model, graph)`, so the first `/v1/embed` runs one
+//!   full-graph forward pass (dense, or int8 for a `model_q8` bundle) and
+//!   every later embed reads its rows from the stored result.
 //! * **Caching** ([`cache::ShardedLru`]): spread estimates are cached in
 //!   a sharded LRU keyed by the *exact* canonical request bytes (the hash
 //!   only picks the shard, so a collision can never serve a wrong value),
 //!   and `/v1/seeds` reuses one [`privim_im::LazyGreedy`] across requests
 //!   — greedy prefix stability makes any `k ≤ computed` free.
-//! * **Readiness-loop front end** (the `conn` + unix-only `reactor`
-//!   modules): an epoll/poll reactor drives nonblocking sockets with
-//!   HTTP/1.1 keep-alive and pipelining, a per-connection state machine,
-//!   and a coarse timer wheel for idle/header-read timeouts (slowloris
-//!   defense). Request execution stays on the worker pool, so response
-//!   bytes are identical to the thread-per-connection front end
-//!   ([`server::FrontEnd::Threaded`], still available for comparison and
-//!   as the non-unix fallback).
-//! * **Load shedding** ([`server`]): a bounded accept queue; overflow and
-//!   requests whose queue wait exceeds the deadline get `503` instead of
-//!   growing latency without bound.
+//! * **Readiness-loop front end** (the `conn` + `reactor` modules): an
+//!   epoll reactor drives nonblocking sockets with HTTP/1.1 keep-alive
+//!   and pipelining, a per-connection state machine, and a coarse timer
+//!   wheel for idle/header-read timeouts (slowloris defense). Request
+//!   execution runs on a fixed worker pool.
+//! * **Load shedding** ([`server`]): a bounded request queue; overflow
+//!   and requests whose queue wait exceeds the deadline get `503` instead
+//!   of growing latency without bound.
 //! * **Graceful drain**: shutdown stops accepting, then completes every
 //!   in-flight and queued request before workers exit.
 //! * **Versioned bundles** ([`bundle`]): format tag + version + CRC-32 +
@@ -58,17 +59,18 @@
 //!   into an atomically-replaced bundle snapshot.
 //!
 //! Determinism note: response payloads are bit-identical to direct
-//! library calls (the e2e test pins this) — batching and caching change
-//! *when* work happens, never *what* is computed.
+//! library calls (the e2e test pins this) — computing scores once and
+//! caching change *when* work happens, never *what* is computed.
 
-pub mod batch;
+#[cfg(not(target_os = "linux"))]
+compile_error!("privim-serve is Linux only: its front end is an epoll reactor");
+
 pub mod bundle;
 pub mod cache;
 pub(crate) mod conn;
 pub mod http;
 pub mod ledger;
 pub mod metrics;
-#[cfg(unix)]
 pub(crate) mod reactor;
 pub mod server;
 pub mod wal;
@@ -80,5 +82,5 @@ pub use bundle::{
 pub use cache::ShardedLru;
 pub use ledger::{Admission, LedgerConfig, LedgerState, TenantLedger};
 pub use metrics::Metrics;
-pub use server::{influence_cache_key, start, DurabilityConfig, FrontEnd, ServeConfig, ServerHandle};
+pub use server::{influence_cache_key, start, DurabilityConfig, ServeConfig, ServerHandle};
 pub use wal::{FsyncPolicy, RecoveryReport, WalWriter};

@@ -42,7 +42,7 @@ pub struct Metrics {
     queue_depth: AtomicU64,
     queue_depth_peak: AtomicU64,
     drained_during_shutdown: AtomicU64,
-    timeout_config_failures: AtomicU64,
+    forward_passes: AtomicU64,
     wal_appends: AtomicU64,
     wal_append_failures: AtomicU64,
     wal_compactions: AtomicU64,
@@ -122,16 +122,12 @@ impl Metrics {
         self.drained_during_shutdown.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Configuring a socket read/write timeout failed; the connection was
-    /// closed rather than served without a deadline.
-    pub fn timeout_config_failure(&self) {
-        self.timeout_config_failures.fetch_add(1, Ordering::Relaxed);
+    /// A full-graph forward pass ran to compute embed scores (once per
+    /// process, on the first `/v1/embed`).
+    pub fn forward_pass(&self) {
+        self.forward_passes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Timeout-configuration failures so far.
-    pub fn timeout_config_failures(&self) -> u64 {
-        self.timeout_config_failures.load(Ordering::Relaxed)
-    }
 
     /// A budget charge was journaled durably.
     pub fn wal_append(&self) {
@@ -246,18 +242,10 @@ impl Metrics {
     }
 
     /// Plain-text exposition (Prometheus-style: `name{labels} value`).
-    /// The spread cache's hit/miss counters and the batcher's
-    /// `(forward passes, requests served through them)` totals live in
-    /// those components; the caller passes their current values so the
-    /// exposition is one consistent snapshot.
-    pub fn render(
-        &self,
-        cache_hits: u64,
-        cache_misses: u64,
-        cache_len: usize,
-        batch_passes: u64,
-        batch_served: u64,
-    ) -> String {
+    /// The spread cache's hit/miss counters live in the cache; the caller
+    /// passes their current values so the exposition is one consistent
+    /// snapshot.
+    pub fn render(&self, cache_hits: u64, cache_misses: u64, cache_len: usize) -> String {
         let mut out = String::with_capacity(2048);
         out.push_str("# privim-serve metrics exposition v1\n");
         for (i, name) in ENDPOINTS.iter().enumerate() {
@@ -297,13 +285,11 @@ impl Metrics {
         push_line(&mut out, "privim_shed_total", self.shed_total.load(Ordering::Relaxed));
         push_line(&mut out, "privim_queue_depth", self.queue_depth.load(Ordering::Relaxed));
         push_line(&mut out, "privim_queue_depth_peak", self.queue_depth_peak.load(Ordering::Relaxed));
-        push_line(&mut out, "privim_batch_forward_passes_total", batch_passes);
-        push_line(&mut out, "privim_batch_batched_requests_total", batch_served);
+        push_line(&mut out, "privim_batch_forward_passes_total", self.forward_passes.load(Ordering::Relaxed));
         push_line(&mut out, "privim_cache_hits_total", cache_hits);
         push_line(&mut out, "privim_cache_misses_total", cache_misses);
         push_line(&mut out, "privim_cache_entries", cache_len as u64);
         push_line(&mut out, "privim_drained_during_shutdown_total", self.drained_during_shutdown.load(Ordering::Relaxed));
-        push_line(&mut out, "privim_timeout_config_failures_total", self.timeout_config_failures.load(Ordering::Relaxed));
         push_line(&mut out, "privim_wal_appends_total", self.wal_appends.load(Ordering::Relaxed));
         push_line(&mut out, "privim_wal_append_failures_total", self.wal_append_failures.load(Ordering::Relaxed));
         push_line(&mut out, "privim_wal_compactions_total", self.wal_compactions.load(Ordering::Relaxed));
@@ -406,7 +392,7 @@ mod tests {
         m.observe(0, 75, 200); // influence, 75 µs -> le=100
         m.observe(0, 75, 200);
         m.observe(2, 2_000_000, 200); // embed, 2 s -> +Inf
-        let text = m.render(3, 1, 2, 0, 0);
+        let text = m.render(3, 1, 2);
         assert_eq!(
             parse_counter(&text, "privim_requests_total{endpoint=\"influence\"}"),
             Some(2)
@@ -440,25 +426,23 @@ mod tests {
         m.queue_push();
         m.queue_pop();
         m.shed();
-        let text = m.render(0, 0, 0, 1, 4);
+        m.forward_pass();
+        let text = m.render(0, 0, 0);
         assert_eq!(parse_counter(&text, "privim_queue_depth"), Some(1));
         assert_eq!(parse_counter(&text, "privim_queue_depth_peak"), Some(2));
         assert_eq!(parse_counter(&text, "privim_batch_forward_passes_total"), Some(1));
-        assert_eq!(parse_counter(&text, "privim_batch_batched_requests_total"), Some(4));
         assert_eq!(parse_counter(&text, "privim_shed_total"), Some(1));
     }
 
     #[test]
     fn durability_counters_render() {
         let m = Metrics::new();
-        m.timeout_config_failure();
         m.wal_append();
         m.wal_append();
         m.wal_append_failure();
         m.wal_compaction();
         m.wal_compaction_failure();
-        let text = m.render(0, 0, 0, 0, 0);
-        assert_eq!(parse_counter(&text, "privim_timeout_config_failures_total"), Some(1));
+        let text = m.render(0, 0, 0);
         assert_eq!(parse_counter(&text, "privim_wal_appends_total"), Some(2));
         assert_eq!(parse_counter(&text, "privim_wal_append_failures_total"), Some(1));
         assert_eq!(parse_counter(&text, "privim_wal_compactions_total"), Some(1));
@@ -466,7 +450,6 @@ mod tests {
         assert_eq!(m.wal_appends(), 2);
         assert_eq!(m.wal_append_failures(), 1);
         assert_eq!(m.wal_compactions(), 1);
-        assert_eq!(m.timeout_config_failures(), 1);
     }
 
     #[test]
@@ -484,7 +467,7 @@ mod tests {
         m.observe_pipeline_depth(1);
         m.observe_pipeline_depth(3); // -> le=4
         m.observe_pipeline_depth(100); // -> +Inf
-        let text = m.render(0, 0, 0, 0, 0);
+        let text = m.render(0, 0, 0);
         assert_eq!(parse_counter(&text, "privim_open_connections"), Some(1));
         assert_eq!(parse_counter(&text, "privim_connections_total"), Some(2));
         assert_eq!(parse_counter(&text, "privim_keepalive_reuses_total"), Some(3));

@@ -6,17 +6,14 @@
 //! every connection's byte streams — it accepts, reads into each
 //! connection's buffer, peels off pipelined requests via
 //! [`crate::conn::Conn`], and drains write buffers as sockets accept
-//! bytes. Parsed requests become jobs on the same bounded queue
-//! discipline as the threaded front end (503 shed at the cap, deadline
-//! shed measured from arrival), and workers run the *identical*
-//! routing/admission/batching/journaling path — which is why response
-//! bodies are byte-for-byte what the threaded front end produces and the
-//! WAL/chaos guarantees carry over unchanged.
+//! bytes. Parsed requests become jobs on a bounded queue (503 shed at the
+//! cap, deadline shed measured from arrival), and workers run the one
+//! routing/admission/journaling path in `server.rs`; the response frame
+//! is a pure function of (status, body, keep-alive flag).
 //!
-//! The poller is raw `epoll_create1`/`epoll_ctl`/`epoll_wait` on Linux
-//! (via `extern "C"` shims over `std::os::fd` — no libc crate), and
-//! `poll(2)` on other unixes. Non-unix builds fall back to the threaded
-//! front end in `server.rs` and never compile this module.
+//! The poller is raw `epoll_create1`/`epoll_ctl`/`epoll_wait` (via
+//! `extern "C"` shims over `std::os::fd` — no libc crate), which is what
+//! makes the crate Linux only.
 //!
 //! Timeouts ride a coarse timer wheel (100 ms ticks): an idle kept-alive
 //! connection is closed after `idle_timeout`, and a connection that has
@@ -161,7 +158,7 @@ pub(crate) fn spawn_reactor(
 }
 
 // ---------------------------------------------------------------------
-// Worker pool: identical request semantics to the threaded front end.
+// Worker pool
 // ---------------------------------------------------------------------
 
 /// Pop jobs, shed-or-route through the shared `process_request` path,
@@ -203,7 +200,7 @@ fn worker_loop(shared: &Shared, rs: &ReactorShared) {
             (routed.status, ct, routed.body, extra, ep)
         };
         // A drain forces `Connection: close` on every in-flight response;
-        // a deadline shed closes too (mirroring the threaded shed).
+        // a deadline shed closes too.
         let keep_alive =
             job.keep_alive && status != 503 && !shared.shutting_down.load(Ordering::SeqCst);
         let frame = response_frame(status, content_type, &extra, body.as_bytes(), keep_alive);
@@ -272,7 +269,7 @@ impl TimerWheel {
 }
 
 // ---------------------------------------------------------------------
-// Poller: epoll on Linux, poll(2) elsewhere on unix.
+// Poller: raw epoll
 // ---------------------------------------------------------------------
 
 /// One readiness report from a poll wait.
@@ -282,10 +279,9 @@ struct Ready {
     writable: bool,
 }
 
-#[cfg(target_os = "linux")]
 mod sys {
-    //! Raw epoll via `extern "C"` shims (ISSUE 10: zero dependencies —
-    //! the workspace has no libc crate, matching the `signal()` shim in
+    //! Raw epoll via `extern "C"` shims (zero dependencies: the
+    //! workspace has no libc crate, matching the `signal()` shim in
     //! `bin/privim-serve.rs`).
     use super::Ready;
     use std::io;
@@ -385,93 +381,6 @@ mod sys {
     }
 }
 
-#[cfg(all(unix, not(target_os = "linux")))]
-mod sys {
-    //! Portable fallback: `poll(2)` with an interest table rebuilt per
-    //! wait. O(n) per wakeup, which is fine for a dev box; Linux gets
-    //! the epoll path above.
-    use super::Ready;
-    use std::collections::BTreeMap;
-    use std::io;
-    use std::os::fd::RawFd;
-
-    #[repr(C)]
-    struct PollFd {
-        fd: i32,
-        events: i16,
-        revents: i16,
-    }
-
-    const POLLIN: i16 = 0x001;
-    const POLLOUT: i16 = 0x004;
-    const POLLERR: i16 = 0x008;
-    const POLLHUP: i16 = 0x010;
-
-    extern "C" {
-        // nfds_t is `unsigned int` on the BSD/mac unixes this branch targets.
-        fn poll(fds: *mut PollFd, nfds: u32, timeout_ms: i32) -> i32;
-    }
-
-    pub struct Poller {
-        interest: BTreeMap<RawFd, (u64, bool, bool)>,
-    }
-
-    impl Poller {
-        pub fn new() -> io::Result<Poller> {
-            Ok(Poller {
-                interest: BTreeMap::new(),
-            })
-        }
-
-        pub fn register(&mut self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
-            self.interest.insert(fd, (token, read, write));
-            Ok(())
-        }
-
-        pub fn modify(&mut self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
-            self.interest.insert(fd, (token, read, write));
-            Ok(())
-        }
-
-        pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-            self.interest.remove(&fd);
-            Ok(())
-        }
-
-        pub fn wait(&mut self, timeout: std::time::Duration, out: &mut Vec<Ready>) {
-            let mut fds: Vec<PollFd> = self
-                .interest
-                .iter()
-                .filter(|(_, (_, r, w))| *r || *w)
-                .map(|(&fd, &(_, r, w))| PollFd {
-                    fd,
-                    events: (if r { POLLIN } else { 0 }) | (if w { POLLOUT } else { 0 }),
-                    revents: 0,
-                })
-                .collect();
-            let timeout_ms = timeout.as_millis().min(i32::MAX as u128) as i32;
-            // privim-lint: allow(unsafe, reason = "poll FFI: the fds pointer and count come from the same live Vec so the kernel writes revents only into owned memory; negative returns (EINTR included) are handled as zero events")
-            let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as u32, timeout_ms) };
-            if n <= 0 {
-                return;
-            }
-            for pfd in &fds {
-                if pfd.revents == 0 {
-                    continue;
-                }
-                let Some(&(token, _, _)) = self.interest.get(&pfd.fd) else {
-                    continue;
-                };
-                out.push(Ready {
-                    token,
-                    readable: pfd.revents & (POLLIN | POLLHUP | POLLERR) != 0,
-                    writable: pfd.revents & (POLLOUT | POLLHUP | POLLERR) != 0,
-                });
-            }
-        }
-    }
-}
-
 use sys::Poller;
 
 // ---------------------------------------------------------------------
@@ -562,9 +471,9 @@ fn reactor_loop(
 
         // Drain transition: stop accepting, flip idle connections to
         // Draining. Connections mid-request (partial bytes buffered) are
-        // left open so the request they already started is still served —
-        // the same "no accepted request is abandoned" contract as the
-        // threaded front end — bounded by the header timeout.
+        // left open so the request they already started is still served
+        // ("no accepted request is abandoned"), bounded by the header
+        // timeout.
         if !draining && shared.shutting_down.load(Ordering::SeqCst) {
             draining = true;
             if let Some(l) = listener.take() {
@@ -813,9 +722,7 @@ fn parse_and_enqueue(
                 shared.metrics.observe_pipeline_depth(entry.conn.inflight());
                 let arrival = Instant::now();
                 // A half-closed peer gets honest `Connection: close`
-                // responses (the threaded front end always closes, so
-                // this also keeps the write-then-shutdown pattern
-                // byte-identical across front ends).
+                // responses: it can never send the next request.
                 let peer_gone = entry.conn.input_eof();
                 let mut shedding = false;
                 for job in jobs {
@@ -823,10 +730,8 @@ fn parse_and_enqueue(
                         shared.metrics.keepalive_reuse();
                     }
                     if !shedding {
-                        // Bounded queue: same cap + same 503 shape as
-                        // the threaded acceptor, but the refusal is a
-                        // frame in the response order rather than a raw
-                        // socket write.
+                        // Bounded queue: the refusal is a 503 frame in
+                        // the response order.
                         let mut q = lock(&rs.jobs);
                         if q.len() < cfg.queue_cap {
                             q.push_back(Job {

@@ -1,29 +1,24 @@
-//! Front-end selection, worker pool, router and request handlers.
+//! Server configuration, startup, router and request handlers.
 //!
-//! Two front ends share one request path (`process_request`):
+//! The epoll reactor ([`crate::reactor`]) owns accept and socket I/O,
+//! supports HTTP/1.1 keep-alive and pipelining, and hands parsed
+//! requests to a fixed worker pool; every request then takes the one
+//! path in this module (`process_request`): routing, budget admission,
+//! journaling, and the handlers.
 //!
-//! * [`FrontEnd::Reactor`] (default on unix): an epoll/poll readiness
-//!   loop ([`crate::reactor`]) owns accept + socket I/O, supports
-//!   HTTP/1.1 keep-alive and pipelining, and hands parsed requests to
-//!   the worker pool;
-//! * [`FrontEnd::Threaded`]: the original thread-per-connection layout —
-//!   one acceptor + `workers` request threads sharing a bounded queue of
-//!   connections, one request per connection, `Connection: close`.
+//! Shedding: `503` at the queue cap (the cheapest possible point) and
+//! for any request whose *queue wait* already exceeded the deadline — a
+//! reply that can no longer arrive in time is better dropped than served
+//! late while newer requests rot.
 //!
-//! Both shed identically: `503` at the queue cap (the cheapest possible
-//! point) and for any request whose *queue wait* already exceeded the
-//! deadline — a reply that can no longer arrive in time is better
-//! dropped than served late while newer requests rot.
-//!
-//! Graceful shutdown: set the flag, wake the front end, let workers
-//! finish everything queued and in flight, then join. No request that
-//! was accepted is ever abandoned — under the reactor this includes a
-//! request whose bytes are still arriving when shutdown begins.
+//! Graceful shutdown: set the flag, wake the reactor, let workers finish
+//! everything queued and in flight, then join. No request that was
+//! accepted is ever abandoned, including one whose bytes are still
+//! arriving when shutdown begins.
 
-use crate::batch::Batcher;
 use crate::bundle::{Bundle, PrivacyStatement, QuantMode};
 use crate::cache::ShardedLru;
-use crate::http::{read_request, write_response, write_response_with_headers, Request};
+use crate::http::Request;
 use crate::ledger::{Admission, TenantLedger};
 use crate::metrics::{endpoint_index, render_ledger_section, Metrics};
 use crate::wal::{FsyncPolicy, WalWriter};
@@ -33,12 +28,11 @@ use privim_im::{ic_spread_estimate, LazyGreedy};
 use privim_rt::fsio;
 use privim_rt::json::Value;
 use privim_rt::{PrivimError, PrivimResult};
-use std::collections::VecDeque;
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::time::Duration;
 
 /// Durability settings for a metered deployment: where charges are
 /// journaled before admission is acknowledged, and how the journal is
@@ -59,27 +53,6 @@ pub struct DurabilityConfig {
     pub bundle_path: Option<PathBuf>,
 }
 
-/// Which connection-handling front end drives the worker pool.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FrontEnd {
-    /// Thread-per-connection, one request per connection (PR 6 layout).
-    Threaded,
-    /// Epoll/poll readiness loop with keep-alive + pipelining (unix
-    /// only; non-unix builds silently use [`FrontEnd::Threaded`]).
-    Reactor,
-}
-
-impl FrontEnd {
-    /// Parse a CLI/bench flag value.
-    pub fn parse(s: &str) -> Option<FrontEnd> {
-        match s {
-            "threaded" => Some(FrontEnd::Threaded),
-            "reactor" => Some(FrontEnd::Reactor),
-            _ => None,
-        }
-    }
-}
-
 /// Server tunables. The defaults suit a laptop-scale smoke deployment;
 /// the bench harness stresses them explicitly.
 #[derive(Clone, Debug)]
@@ -89,12 +62,10 @@ pub struct ServeConfig {
     pub addr: String,
     /// Request worker threads.
     pub workers: usize,
-    /// Bounded accept-queue capacity; overflow is shed with `503`.
+    /// Bounded request-queue capacity; overflow is shed with `503`.
     pub queue_cap: usize,
     /// Per-request deadline measured from *arrival* (queue wait counts).
     pub deadline: Duration,
-    /// Micro-batch collection window for `/v1/embed`.
-    pub batch_window: Duration,
     /// Spread-cache shards.
     pub cache_shards: usize,
     /// Spread-cache entries per shard.
@@ -106,17 +77,15 @@ pub struct ServeConfig {
     /// the bundle has no ledger). `None` = in-memory ledger, PR 6
     /// behavior.
     pub durability: Option<DurabilityConfig>,
-    /// Connection-handling front end.
-    pub frontend: FrontEnd,
-    /// Reactor: close a kept-alive connection after this long with no
-    /// socket activity and no in-flight request.
+    /// Close a kept-alive connection after this long with no socket
+    /// activity and no in-flight request.
     pub idle_timeout: Duration,
-    /// Reactor: close a connection that *started* sending a request but
-    /// has not completed it within this long — measured from the first
-    /// partial byte, so a slowloris dribble cannot reset it.
+    /// Close a connection that *started* sending a request but has not
+    /// completed it within this long — measured from the first partial
+    /// byte, so a slowloris dribble cannot reset it.
     pub header_timeout: Duration,
-    /// Reactor: max pipelined requests in flight per connection before
-    /// reads pause (TCP backpressure instead of unbounded buffering).
+    /// Max pipelined requests in flight per connection before reads
+    /// pause (TCP backpressure instead of unbounded buffering).
     pub max_pipeline: usize,
 }
 
@@ -127,12 +96,10 @@ impl Default for ServeConfig {
             workers: 4,
             queue_cap: 128,
             deadline: Duration::from_secs(5),
-            batch_window: Duration::from_millis(2),
             cache_shards: 8,
             cache_cap_per_shard: 256,
             default_runs: 64,
             durability: None,
-            frontend: FrontEnd::Reactor,
             idle_timeout: Duration::from_secs(30),
             header_timeout: Duration::from_secs(10),
             max_pipeline: 32,
@@ -145,7 +112,11 @@ pub(crate) struct Shared {
     fingerprint: u64,
     pub(crate) metrics: Metrics,
     cache: ShardedLru<f64>,
-    batcher: Batcher,
+    /// Per-node model scores, filled by the first `/v1/embed`. They are a
+    /// pure function of the immutable `(model, graph)`, so one forward
+    /// pass serves the process's lifetime. Computed lazily rather than in
+    /// [`start`] so a server that never sees an embed pays nothing for it.
+    scores: OnceLock<Vec<f64>>,
     /// Resumable CELF state: one instance serves every `/v1/seeds`
     /// request (greedy prefix stability makes cached answers exact).
     seeds: Mutex<LazyGreedy>,
@@ -158,16 +129,16 @@ pub(crate) struct Shared {
     /// when unmetered or durability is not configured.
     wal: Option<Mutex<WalWriter>>,
     durability: Option<DurabilityConfig>,
-    /// Model + privacy statement retained for compaction snapshots
-    /// (a snapshot is a full re-pack of the loaded bundle).
-    model: Arc<GnnModel>,
-    /// Int8 serving model and storage mode of the loaded bundle, so
-    /// compaction re-packs in the same mode it loaded.
-    quant: Option<Arc<QuantGnnModel>>,
+    /// The served model; compaction snapshots re-pack it with the
+    /// privacy statement (a snapshot is a full re-pack of the loaded
+    /// bundle).
+    model: GnnModel,
+    /// Int8 serving model of a `model_q8` bundle: embed scores come from
+    /// its integer path instead of the dense model. Kept with the storage
+    /// mode so compaction re-packs in the mode it loaded.
+    quant: Option<QuantGnnModel>,
     mode: QuantMode,
     privacy: PrivacyStatement,
-    queue: Mutex<VecDeque<(TcpStream, Instant)>>,
-    queue_ready: Condvar,
     pub(crate) shutting_down: AtomicBool,
     pub(crate) deadline: Duration,
     default_runs: usize,
@@ -178,21 +149,11 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap()
 }
 
-/// The running front end's join handles.
-enum FrontHandles {
-    Threaded {
-        acceptor: Option<std::thread::JoinHandle<()>>,
-        workers: Vec<std::thread::JoinHandle<()>>,
-    },
-    #[cfg(unix)]
-    Reactor(crate::reactor::ReactorHandle),
-}
-
-/// A running server: join handles plus the shared state.
+/// A running server: the reactor's join handles plus the shared state.
 pub struct ServerHandle {
     port: u16,
     shared: Arc<Shared>,
-    front: FrontHandles,
+    reactor: crate::reactor::ReactorHandle,
 }
 
 impl ServerHandle {
@@ -228,32 +189,14 @@ impl ServerHandle {
     /// shutdown signal.
     pub fn shutdown(mut self) -> u64 {
         self.shared.shutting_down.store(true, Ordering::SeqCst);
-        match &mut self.front {
-            FrontHandles::Threaded { acceptor, workers } => {
-                // Wake the acceptor out of its blocking accept() with a
-                // self-connection; it checks the flag before enqueuing.
-                let _ = TcpStream::connect(("127.0.0.1", self.port));
-                self.shared.queue_ready.notify_all();
-                if let Some(a) = acceptor.take() {
-                    let _ = a.join();
-                }
-                for w in workers.drain(..) {
-                    // Keep waking workers: one notify can be consumed by
-                    // a thread that goes back to processing.
-                    self.shared.queue_ready.notify_all();
-                    let _ = w.join();
-                }
-            }
-            #[cfg(unix)]
-            FrontHandles::Reactor(r) => r.shutdown(),
-        }
+        self.reactor.shutdown();
         self.shared.metrics.drained_count()
     }
 }
 
-/// Bind, spawn the acceptor and workers, and return a handle. The CELF
-/// state, batcher tensors and cache are initialised here, so the first
-/// request pays no setup cost.
+/// Bind, spawn the reactor and its workers, and return a handle. The
+/// CELF state and cache are initialised here; embed scores are not — the
+/// first `/v1/embed` computes them.
 pub fn start(bundle: Bundle, cfg: ServeConfig) -> PrivimResult<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)
         .map_err(|e| PrivimError::io("binding serve listener", e))?;
@@ -262,8 +205,6 @@ pub fn start(bundle: Bundle, cfg: ServeConfig) -> PrivimResult<ServerHandle> {
         .map_err(|e| PrivimError::io("reading bound address", e))?
         .port();
 
-    let model = Arc::new(bundle.model);
-    let quant = bundle.quant.map(Arc::new);
     let ledger = match bundle.ledger {
         Some(state) => Some(TenantLedger::new(state)?),
         None => None,
@@ -279,199 +220,42 @@ pub fn start(bundle: Bundle, cfg: ServeConfig) -> PrivimResult<ServerHandle> {
         _ => (None, None),
     };
     let shared = Arc::new(Shared {
-        batcher: Batcher::new_quant(
-            Arc::clone(&model),
-            quant.as_ref().map(Arc::clone),
-            &bundle.graph,
-            cfg.batch_window,
-        ),
+        scores: OnceLock::new(),
         seeds: Mutex::new(LazyGreedy::new(Arc::clone(&bundle.graph))),
         ledger,
         wal,
         durability,
-        model,
-        quant,
+        model: bundle.model,
+        quant: bundle.quant,
         mode: bundle.mode,
         privacy: bundle.privacy,
         graph: bundle.graph,
         fingerprint: bundle.fingerprint,
         metrics: Metrics::new(),
         cache: ShardedLru::new(cfg.cache_shards, cfg.cache_cap_per_shard),
-        queue: Mutex::new(VecDeque::with_capacity(cfg.queue_cap)),
-        queue_ready: Condvar::new(),
         shutting_down: AtomicBool::new(false),
         deadline: cfg.deadline,
         default_runs: cfg.default_runs,
     });
 
-    let front = spawn_front_end(listener, &shared, &cfg)?;
+    let rcfg = crate::reactor::ReactorConfig {
+        workers: cfg.workers,
+        queue_cap: cfg.queue_cap.max(1),
+        idle_timeout: cfg.idle_timeout,
+        header_timeout: cfg.header_timeout,
+        max_pipeline: (cfg.max_pipeline.max(1)) as u64,
+    };
+    let reactor = crate::reactor::spawn_reactor(listener, Arc::clone(&shared), rcfg)
+        .map_err(|e| PrivimError::io("starting reactor front end", e))?;
     Ok(ServerHandle {
         port,
         shared,
-        front,
+        reactor,
     })
-}
-
-/// Spawn the configured front end. The reactor is unix-only; elsewhere
-/// (and on reactor setup failure) the threaded layout serves instead, so
-/// a bundle that serves on one platform serves on all of them.
-fn spawn_front_end(
-    listener: TcpListener,
-    shared: &Arc<Shared>,
-    cfg: &ServeConfig,
-) -> PrivimResult<FrontHandles> {
-    #[cfg(unix)]
-    if cfg.frontend == FrontEnd::Reactor {
-        let rcfg = crate::reactor::ReactorConfig {
-            workers: cfg.workers,
-            queue_cap: cfg.queue_cap.max(1),
-            idle_timeout: cfg.idle_timeout,
-            header_timeout: cfg.header_timeout,
-            max_pipeline: (cfg.max_pipeline.max(1)) as u64,
-        };
-        let handle = crate::reactor::spawn_reactor(listener, Arc::clone(shared), rcfg)
-            .map_err(|e| PrivimError::io("starting reactor front end", e))?;
-        return Ok(FrontHandles::Reactor(handle));
-    }
-    let acceptor = {
-        let shared = Arc::clone(shared);
-        let cap = cfg.queue_cap.max(1);
-        std::thread::spawn(move || acceptor_loop(&listener, &shared, cap))
-    };
-    let workers = (0..cfg.workers.max(1))
-        .map(|_| {
-            let shared = Arc::clone(shared);
-            std::thread::spawn(move || worker_loop(&shared))
-        })
-        .collect();
-    Ok(FrontHandles::Threaded {
-        acceptor: Some(acceptor),
-        workers,
-    })
-}
-
-// privim-lint: allow(wall-clock, reason = "latency telemetry: arrival timestamps feed the latency histogram and deadline shedding, never response payloads")
-fn acceptor_loop(listener: &TcpListener, shared: &Shared, cap: usize) {
-    loop {
-        let Ok((stream, _)) = listener.accept() else {
-            if shared.shutting_down.load(Ordering::SeqCst) {
-                return;
-            }
-            continue;
-        };
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            return; // the wake-up self-connection lands here too
-        }
-        // Small request/response exchanges; never trade latency for
-        // segment coalescing.
-        let _ = stream.set_nodelay(true);
-        let arrival = Instant::now();
-        let mut q = lock(&shared.queue);
-        if q.len() >= cap {
-            drop(q);
-            shed(stream, shared, "queue full");
-            continue;
-        }
-        q.push_back((stream, arrival));
-        shared.metrics.queue_push();
-        drop(q);
-        shared.queue_ready.notify_one();
-    }
-}
-
-/// Reject a connection with an immediate `503` (best-effort write).
-fn shed(mut stream: TcpStream, shared: &Shared, why: &str) {
-    shared.metrics.shed();
-    shared.metrics.observe_status(503);
-    let body = Value::obj(vec![("error", Value::Str(format!("shed: {why}"))) ])
-        .to_json_string();
-    // Without a write timeout a dead client could pin this thread on the
-    // 503 write; if the socket refuses the timeout, just close.
-    if stream
-        .set_write_timeout(Some(Duration::from_millis(200)))
-        .is_err()
-    {
-        shared.metrics.timeout_config_failure();
-        return;
-    }
-    let _ = write_response(&mut stream, 503, "application/json", body.as_bytes());
-}
-
-fn worker_loop(shared: &Shared) {
-    loop {
-        let popped = {
-            let mut q = lock(&shared.queue);
-            loop {
-                if let Some(item) = q.pop_front() {
-                    shared.metrics.queue_pop();
-                    break Some(item);
-                }
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    break None;
-                }
-                // privim-lint: allow(panic, reason = "a poisoned server lock means a worker already panicked; propagating is the only sound recovery")
-                q = shared.queue_ready.wait(q).unwrap();
-            }
-        };
-        let Some((stream, arrival)) = popped else {
-            return; // shutdown with an empty queue: fully drained
-        };
-        handle_connection(stream, arrival, shared);
-        // A request that *completes* after the shutdown signal was in
-        // flight (or queued) when it arrived — that is the drain.
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            shared.metrics.drained();
-        }
-    }
-}
-
-fn handle_connection(mut stream: TcpStream, arrival: Instant, shared: &Shared) {
-    let waited = arrival.elapsed();
-    if waited >= shared.deadline {
-        shed(stream, shared, "deadline exceeded while queued");
-        return;
-    }
-    // A stalled or dead client may hold this worker no longer than the
-    // request's remaining deadline budget. If the socket won't take a
-    // timeout, serving it would mean serving without a deadline — close
-    // it instead and count the refusal.
-    let remaining = shared.deadline - waited;
-    if stream.set_read_timeout(Some(remaining)).is_err()
-        || stream.set_write_timeout(Some(remaining)).is_err()
-    {
-        shared.metrics.timeout_config_failure();
-        return;
-    }
-
-    let (routed, content_type, ep) = match read_request(&mut stream) {
-        Ok(parsed) => process_request(&parsed.request, shared),
-        Err(e) => {
-            let body = Value::obj(vec![("error", Value::Str(e.to_string()))]).to_json_string();
-            (Routed::new(e.status, body), "application/json", None)
-        }
-    };
-    let status = routed.status;
-    let extra: Vec<(&str, String)> = routed
-        .retry_after_secs
-        .map(|s| vec![("Retry-After", s.to_string())])
-        .unwrap_or_default();
-    let _ = write_response_with_headers(
-        &mut stream,
-        status,
-        content_type,
-        &extra,
-        routed.body.as_bytes(),
-    );
-    let latency_us = arrival.elapsed().as_micros().min(u64::MAX as u128) as u64;
-    match ep {
-        Some(ep) => shared.metrics.observe(ep, latency_us, status),
-        None => shared.metrics.observe_status(status),
-    }
 }
 
 /// Route one parsed request and pick its response content type — the
-/// single request path both front ends share, which is what makes
-/// reactor responses byte-identical to threaded ones.
+/// single request path every worker runs.
 pub(crate) fn process_request(
     req: &Request,
     shared: &Shared,
@@ -505,16 +289,13 @@ impl Routed {
 }
 
 /// The full `/metrics` exposition: request counters + one consistent
-/// snapshot of the cache/batcher totals, then the budget-ledger section
-/// when the deployment is metered.
+/// snapshot of the cache totals, then the budget-ledger section when the
+/// deployment is metered.
 fn render_metrics(shared: &Shared) -> String {
-    let (passes, served) = shared.batcher.stats();
     let mut text = shared.metrics.render(
         shared.cache.hits(),
         shared.cache.misses(),
         shared.cache.len(),
-        passes,
-        served,
     );
     if let Some(ledger) = &shared.ledger {
         render_ledger_section(
@@ -617,7 +398,7 @@ fn compact(shared: &Shared, writer: &mut WalWriter) {
     let state = ledger.state();
     let doc = crate::bundle::pack_parts_in_mode(
         &shared.model,
-        shared.quant.as_deref(),
+        shared.quant.as_ref(),
         shared.mode,
         &shared.privacy,
         &shared.graph,
@@ -810,11 +591,19 @@ fn handle_seeds(req: &Request, shared: &Shared) -> PrivimResult<Value> {
 }
 
 /// `POST /v1/embed` — `{"nodes":[…]}`: model scores for the requested
-/// nodes, computed through the micro-batcher.
+/// nodes. The first embed runs the full-graph forward pass (int8 path for
+/// a `model_q8` bundle, dense otherwise); concurrent first requests wait
+/// on that one pass, and every later request is a lookup.
 fn handle_embed(req: &Request, shared: &Shared) -> PrivimResult<Value> {
     let body = parse_body(req)?;
     let nodes = seed_list(&body, "nodes", shared.graph.num_nodes())?;
-    let scores = shared.batcher.scores();
+    let scores = shared.scores.get_or_init(|| {
+        shared.metrics.forward_pass();
+        match &shared.quant {
+            Some(q) => q.score_graph(&shared.graph),
+            None => shared.model.score_graph(&shared.graph),
+        }
+    });
     let out: Vec<Value> = nodes
         .iter()
         .map(|&v| {

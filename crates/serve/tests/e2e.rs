@@ -1,18 +1,19 @@
 //! End-to-end serving tests over real TCP, covering the acceptance
-//! criteria: (a) responses bit-identical to direct library calls,
-//! (b) `/metrics` reflects request counts and micro-batched forwards,
-//! (c) a full queue sheds with `503`, (d) shutdown drains in-flight
-//! requests, (e) an exhausted tenant gets `429` + `Retry-After` and the
-//! budget gauges agree, (f) counters are monotone across a graceful
-//! drain.
+//! criteria: (a) responses bit-identical to direct library calls, for
+//! dense and int8 bundles, (b) `/metrics` reflects request counts and
+//! the one lazily computed forward pass, (c) shutdown drains in-flight
+//! requests, (d) an exhausted tenant gets `429` + `Retry-After` and the
+//! budget gauges agree, (e) counters are monotone across a graceful
+//! drain. (Queue-full and deadline shedding are covered in
+//! `tests/reactor.rs`.)
 
 use privim::ServeArtifact;
-use privim_gnn::{GnnConfig, GnnModel};
+use privim_gnn::{GnnConfig, GnnModel, QuantGnnModel};
 use privim_graph::Graph;
 use privim_im::{celf_exact, ic_spread_estimate};
 use privim_rt::json::Value;
 use privim_rt::{ChaCha8Rng, SeedableRng};
-use privim_serve::{bundle, metrics, start, FrontEnd, LedgerConfig, LedgerState, ServeConfig};
+use privim_serve::{bundle, metrics, start, LedgerConfig, LedgerState, ServeConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
@@ -193,38 +194,92 @@ fn responses_are_bit_identical_to_library_calls() {
     handle.shutdown();
 }
 
+/// The exact `/v1/embed` body the server must produce for `nodes`, built
+/// from directly computed scores.
+fn expected_embed_body(scores: &[f64], nodes: &[usize]) -> String {
+    let rows = nodes
+        .iter()
+        .map(|&v| Value::Arr(vec![Value::Num(v as f64), Value::Num(scores[v])]))
+        .collect();
+    Value::obj(vec![("scores", Value::Arr(rows))]).to_json_string()
+}
+
 #[test]
-fn metrics_reflect_requests_and_batched_forward_passes() {
-    let (b, _g, _m) = test_bundle(2);
+fn int8_bundle_serves_the_quant_model_scores() {
+    let (_, g, model) = test_bundle(7);
+    let q = QuantGnnModel::from_model(&model);
+    let privacy = bundle::PrivacyStatement {
+        epsilon: Some(2.0),
+        delta: 1e-4,
+        sigma: 1.5,
+        steps: 80,
+    };
+    let doc = bundle::pack_parts_q8(&q, &privacy, &g, None).to_json_string();
+    let b = bundle::load(doc.as_bytes()).unwrap();
+    assert_eq!(b.mode, bundle::QuantMode::Int8);
+    let quant_scores = q.score_graph(&g);
+    assert_ne!(
+        quant_scores,
+        model.score_graph(&g),
+        "int8 and dense scores must differ, or this test cannot tell the paths apart"
+    );
+
+    let handle = start(b, ServeConfig::default()).unwrap();
+    let nodes = [0usize, 7, 63, 119];
+    let (status, body) = request(handle.port(), "POST", "/v1/embed", "{\"nodes\": [0, 7, 63, 119]}");
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(body, expected_embed_body(&quant_scores, &nodes));
+    handle.shutdown();
+}
+
+#[test]
+fn metrics_reflect_requests_and_one_lazy_forward_pass() {
+    let (b, g, model) = test_bundle(2);
+    let direct = model.score_graph(&g);
     let cfg = ServeConfig {
         workers: 8,
-        batch_window: Duration::from_millis(40),
         ..ServeConfig::default()
     };
     let handle = start(b, cfg).unwrap();
     let port = handle.port();
 
-    // Fire 6 embed requests through the server at once; the batcher
-    // must coalesce at least some of them.
+    // Scores are computed on first use, not at startup: a fresh server
+    // has run no forward pass.
+    let (status, text) = request(port, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    assert_eq!(
+        metrics::parse_counter(&text, "privim_batch_forward_passes_total"),
+        Some(0),
+        "startup must not compute embed scores"
+    );
+
+    // 6 embed requests at once: they share the one first-use pass.
     let n = 6;
     let barrier = Arc::new(Barrier::new(n));
     let threads: Vec<_> = (0..n)
-        .map(|_| {
+        .map(|i| {
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
+                let nodes = [i, i + 50];
                 barrier.wait();
-                post_json(port, "/v1/embed", "{\"nodes\": [1, 2]}")
+                let body = format!("{{\"nodes\": [{}, {}]}}", nodes[0], nodes[1]);
+                (nodes, request(port, "POST", "/v1/embed", &body))
             })
         })
         .collect();
-    let first = threads
-        .into_iter()
-        .map(|t| t.join().unwrap())
-        .collect::<Vec<_>>();
-    for (status, v) in &first {
-        assert_eq!(*status, 200);
-        // batching must not change payloads: all 6 are identical
-        assert_eq!(v.to_json_string(), first[0].1.to_json_string());
+    for t in threads {
+        let (nodes, (status, body)) = t.join().unwrap();
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(body, expected_embed_body(&direct, &nodes));
+    }
+    // Later requests are lookups into the same scores.
+    let sequential = 3;
+    for i in 0..sequential {
+        let nodes = [100 + i, 119];
+        let body = format!("{{\"nodes\": [{}, {}]}}", nodes[0], nodes[1]);
+        let (status, got) = request(port, "POST", "/v1/embed", &body);
+        assert_eq!(status, 200, "{got}");
+        assert_eq!(got, expected_embed_body(&direct, &nodes));
     }
 
     let (status, text) = request(port, "GET", "/metrics", "");
@@ -232,69 +287,23 @@ fn metrics_reflect_requests_and_batched_forward_passes() {
     let counter = |name: &str| metrics::parse_counter(&text, name);
     assert_eq!(
         counter("privim_requests_total{endpoint=\"embed\"}"),
-        Some(n as u64)
+        Some((n + sequential) as u64)
     );
-    let passes = counter("privim_batch_forward_passes_total").unwrap();
-    let served = counter("privim_batch_batched_requests_total").unwrap();
-    assert_eq!(served, n as u64, "all embed requests flow through the batcher");
-    assert!(passes >= 1, "at least one forward pass must be recorded");
-    assert!(
-        passes < n as u64,
-        "{n} simultaneous requests took {passes} passes — nothing was batched"
+    assert_eq!(
+        counter("privim_batch_forward_passes_total"),
+        Some(1),
+        "every embed must be served by one forward pass"
     );
-    // the 2xx counter covers the embed requests plus this /metrics read's
-    // predecessors; at minimum the n embeds are there
-    assert!(counter("privim_responses_total{class=\"2xx\"}").unwrap() >= n as u64);
+    // the 2xx counter covers the embed requests plus the first /metrics
+    // read; at minimum the embeds are there
+    assert!(counter("privim_responses_total{class=\"2xx\"}").unwrap() >= (n + sequential) as u64);
 
     // Durability counters are always exposed (zero on a journal-less
     // server) so dashboards can alert on them without a config change.
-    assert_eq!(counter("privim_timeout_config_failures_total"), Some(0));
     assert_eq!(counter("privim_wal_appends_total"), Some(0));
     assert_eq!(counter("privim_wal_append_failures_total"), Some(0));
     assert_eq!(counter("privim_wal_compactions_total"), Some(0));
     assert_eq!(counter("privim_wal_compaction_failures_total"), Some(0));
-
-    handle.shutdown();
-}
-
-#[test]
-fn full_queue_sheds_with_503() {
-    let (b, _g, _m) = test_bundle(3);
-    // Threaded front end pinned: this test's premise — an idle
-    // connection occupies a worker until its read deadline — only holds
-    // for thread-per-connection. The reactor's queue-full shed is
-    // covered in tests/reactor.rs with a pipelined burst instead.
-    let cfg = ServeConfig {
-        workers: 1,
-        queue_cap: 1,
-        deadline: Duration::from_millis(1500),
-        frontend: FrontEnd::Threaded,
-        ..ServeConfig::default()
-    };
-    let handle = start(b, cfg).unwrap();
-    let port = handle.port();
-
-    // Occupy the single worker: connect and send nothing. The worker
-    // blocks reading this request until its deadline budget lapses.
-    let holder = TcpStream::connect(("127.0.0.1", port)).unwrap();
-    std::thread::sleep(Duration::from_millis(200)); // let the worker pop it
-    // Fill the queue (cap = 1) with a second idle connection.
-    let _queued = TcpStream::connect(("127.0.0.1", port)).unwrap();
-    std::thread::sleep(Duration::from_millis(200));
-    // The next connection overflows the queue: immediate 503.
-    let mut overflow = TcpStream::connect(("127.0.0.1", port)).unwrap();
-    overflow
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .unwrap();
-    let (status, body) = read_response(&mut overflow);
-    assert_eq!(status, 503, "expected shed, got {status}: {body}");
-    assert!(body.contains("shed"), "{body}");
-
-    // After the dust settles the shed counter is visible in /metrics.
-    drop(holder);
-    std::thread::sleep(Duration::from_millis(100));
-    let (_, text) = request(port, "GET", "/metrics", "");
-    assert!(metrics::parse_counter(&text, "privim_shed_total").unwrap() >= 1);
 
     handle.shutdown();
 }

@@ -1,7 +1,7 @@
 //! Reactor front-end integration tests over real TCP: keep-alive reuse,
-//! pipelined in-order responses, byte-identity with the threaded front
-//! end, slowloris/idle reaping, queue-full shedding, and
-//! drain-during-keep-alive.
+//! pipelined in-order responses, byte-identity with checked-in golden
+//! responses, slowloris/idle reaping, queue-full and deadline shedding,
+//! and drain-during-keep-alive.
 //!
 //! These tests use a *framed* client (parse `Content-Length`, read
 //! exactly that many body bytes) rather than read-to-EOF, because the
@@ -10,7 +10,7 @@
 use privim::ServeArtifact;
 use privim_gnn::{GnnConfig, GnnModel};
 use privim_rt::{ChaCha8Rng, SeedableRng};
-use privim_serve::{bundle, metrics, start, FrontEnd, ServeConfig, ServerHandle};
+use privim_serve::{bundle, metrics, start, ServeConfig, ServerHandle};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -33,8 +33,18 @@ fn test_bundle(seed: u64) -> bundle::Bundle {
 }
 
 fn reactor_server(seed: u64, cfg: ServeConfig) -> ServerHandle {
-    assert_eq!(cfg.frontend, FrontEnd::Reactor);
     start(test_bundle(seed), cfg).unwrap()
+}
+
+/// A deliberately slow request: an uncached Monte-Carlo spread estimate
+/// at the maximum run count keeps a worker busy for a long stretch.
+fn slow_influence(close: bool) -> Vec<u8> {
+    frame_request(
+        "POST",
+        "/v1/influence",
+        "{\"seeds\": [0, 1], \"runs\": 100000}",
+        close,
+    )
 }
 
 /// Serialize one request frame (keep-alive by default — no `Connection`
@@ -198,49 +208,42 @@ fn headers_split_across_arbitrary_write_boundaries_still_parse() {
     handle.shutdown();
 }
 
-#[test]
-fn reactor_matches_threaded_front_end_byte_for_byte() {
-    let reactor = reactor_server(14, ServeConfig::default());
-    let threaded = start(
-        test_bundle(14),
-        ServeConfig {
-            frontend: FrontEnd::Threaded,
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
+/// The server's raw `Connection: close` responses to a fixed request
+/// sequence (bundle seed 14, fresh server), checked in as golden bytes.
+/// They pin status lines, header order, framing and payload bytes across
+/// every route, error paths included.
+const GOLDEN: [(&str, &str, &str, &[u8]); 7] = [
+    ("POST", "/v1/embed", "{\"nodes\": [0, 7, 63, 119]}", include_bytes!("golden/1-embed.http")),
+    (
+        "POST",
+        "/v1/influence",
+        "{\"seeds\": [9, 3, 40], \"runs\": 16, \"seed\": 5}",
+        include_bytes!("golden/2-influence.http"),
+    ),
+    ("POST", "/v1/seeds", "{\"k\": 4}", include_bytes!("golden/3-seeds.http")),
+    ("GET", "/healthz", "", include_bytes!("golden/4-healthz.http")),
+    ("POST", "/v1/embed", "{\"nodes\": [999]}", include_bytes!("golden/5-embed-bad-node.http")),
+    ("DELETE", "/v1/embed", "", include_bytes!("golden/6-method-not-allowed.http")),
+    ("GET", "/nope", "", include_bytes!("golden/7-no-route.http")),
+];
 
-    // Same bundle seed, same requests, raw response bytes compared:
-    // `Connection: close` requests so both front ends emit close frames.
-    for (method, path, body) in [
-        ("POST", "/v1/embed", "{\"nodes\": [0, 7, 63, 119]}"),
-        ("POST", "/v1/influence", "{\"seeds\": [9, 3, 40], \"runs\": 16, \"seed\": 5}"),
-        ("POST", "/v1/seeds", "{\"k\": 4}"),
-        ("GET", "/healthz", ""),
-        ("POST", "/v1/embed", "{\"nodes\": [999]}"),   // routed 400
-        ("DELETE", "/v1/embed", ""),                    // 405
-        ("GET", "/nope", ""),                           // 404
-    ] {
-        let raw = |port: u16| -> Vec<u8> {
-            let mut s = TcpStream::connect(("127.0.0.1", port)).unwrap();
-            s.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
-            s.write_all(&frame_request(method, path, body, true)).unwrap();
-            let mut out = Vec::new();
-            s.read_to_end(&mut out).unwrap();
-            out
-        };
-        let a = raw(reactor.port());
-        let b = raw(threaded.port());
+#[test]
+fn responses_match_golden_bytes() {
+    let handle = reactor_server(14, ServeConfig::default());
+    for (method, path, body, golden) in GOLDEN {
+        let mut s = TcpStream::connect(("127.0.0.1", handle.port())).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+        s.write_all(&frame_request(method, path, body, true)).unwrap();
+        let mut got = Vec::new();
+        s.read_to_end(&mut got).unwrap();
         assert_eq!(
-            a,
-            b,
-            "front ends diverged on {method} {path}: reactor={:?} threaded={:?}",
-            String::from_utf8_lossy(&a),
-            String::from_utf8_lossy(&b)
+            got,
+            golden,
+            "response to {method} {path} diverged from its golden bytes: got {:?}",
+            String::from_utf8_lossy(&got)
         );
     }
-    reactor.shutdown();
-    threaded.shutdown();
+    handle.shutdown();
 }
 
 #[test]
@@ -397,15 +400,14 @@ fn idle_keepalive_connection_is_reaped_by_the_idle_timeout() {
 
 #[test]
 fn pipelined_burst_over_queue_cap_sheds_with_503() {
-    // One worker + queue cap 1 + a wide batch window: the first embed
-    // occupies the worker long enough that a pipelined burst must
-    // overflow the bounded queue and be shed.
+    // One worker + queue cap 1 + a slow first request: it occupies the
+    // worker long enough that a pipelined burst must overflow the bounded
+    // queue and be shed.
     let handle = reactor_server(
         17,
         ServeConfig {
             workers: 1,
             queue_cap: 1,
-            batch_window: Duration::from_millis(200),
             ..ServeConfig::default()
         },
     );
@@ -414,8 +416,8 @@ fn pipelined_burst_over_queue_cap_sheds_with_503() {
     stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
 
     let n = 8;
-    let mut burst = Vec::new();
-    for i in 0..n {
+    let mut burst = slow_influence(false);
+    for i in 1..n {
         burst.extend_from_slice(&frame_request(
             "POST",
             "/v1/embed",
@@ -450,12 +452,13 @@ fn pipelined_burst_over_queue_cap_sheds_with_503() {
 
 #[test]
 fn drain_during_keepalive_finishes_in_flight_then_closes() {
-    // A wide batch window keeps the second request in flight long enough
-    // for the drain to start while the worker still holds it.
+    // A slow request keeps the second exchange in flight long enough for
+    // the drain to start while the worker still holds it. The spread
+    // cache is off so the repeat is computed afresh (and is as slow).
     let handle = reactor_server(
         18,
         ServeConfig {
-            batch_window: Duration::from_millis(300),
+            cache_cap_per_shard: 0,
             ..ServeConfig::default()
         },
     );
@@ -464,7 +467,7 @@ fn drain_during_keepalive_finishes_in_flight_then_closes() {
     stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
 
     // Establish the keep-alive session with one complete exchange.
-    stream.write_all(&frame_request("POST", "/v1/embed", "{\"nodes\": [1]}", false)).unwrap();
+    stream.write_all(&slow_influence(false)).unwrap();
     let mut carry = Vec::new();
     let (status, head, first_body) = read_framed(&mut stream, &mut carry);
     assert_eq!(status, 200);
@@ -473,9 +476,9 @@ fn drain_during_keepalive_finishes_in_flight_then_closes() {
     // Send the next request and immediately begin the drain: the
     // in-flight request must be answered — with a forced close — and the
     // connection must then end.
-    stream.write_all(&frame_request("POST", "/v1/embed", "{\"nodes\": [1]}", false)).unwrap();
+    stream.write_all(&slow_influence(false)).unwrap();
     // Let the reactor read + enqueue the request before the drain begins
-    // (well inside the 300ms the worker spends batching it).
+    // (well inside the time the worker spends computing it).
     std::thread::sleep(Duration::from_millis(60));
     let shutdown = std::thread::spawn(move || handle.shutdown());
     let (status, head, body) = read_framed(&mut stream, &mut carry);
@@ -490,4 +493,43 @@ fn drain_during_keepalive_finishes_in_flight_then_closes() {
     assert!(carry.is_empty() && rest.is_empty(), "connection must close after the drained response");
     let drained = shutdown.join().unwrap();
     assert!(drained >= 1, "drained counter must record the in-flight request");
+}
+
+#[test]
+fn request_queued_past_its_deadline_is_shed() {
+    // One worker and a short deadline: a slow request runs first, so the
+    // request pipelined behind it waits in the queue longer than the
+    // deadline and is refused when a worker finally pops it.
+    let handle = reactor_server(
+        21,
+        ServeConfig {
+            workers: 1,
+            deadline: Duration::from_millis(60),
+            ..ServeConfig::default()
+        },
+    );
+    let mut stream = TcpStream::connect(("127.0.0.1", handle.port())).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    let mut burst = slow_influence(false);
+    burst.extend_from_slice(&frame_request("GET", "/healthz", "", false));
+    stream.write_all(&burst).unwrap();
+
+    let mut carry = Vec::new();
+    let (s0, _, b0) = read_framed(&mut stream, &mut carry);
+    assert_eq!(s0, 200, "the slow request was popped in time and served: {b0}");
+    let (s1, head, b1) = read_framed(&mut stream, &mut carry);
+    assert_eq!(s1, 503, "{b1}");
+    assert!(b1.contains("shed: deadline exceeded while queued"), "{b1}");
+    assert!(head.contains("Connection: close"), "a deadline shed closes: {head}");
+    let mut rest = Vec::new();
+    stream.read_to_end(&mut rest).unwrap();
+    assert!(carry.is_empty() && rest.is_empty());
+    let text = handle.metrics_text();
+    assert_eq!(metrics::parse_counter(&text, "privim_shed_total"), Some(1));
+    assert_eq!(
+        metrics::parse_counter(&text, "privim_requests_total{endpoint=\"healthz\"}"),
+        Some(0),
+        "a shed request never reaches its handler"
+    );
+    handle.shutdown();
 }
