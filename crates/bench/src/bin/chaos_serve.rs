@@ -23,12 +23,12 @@
 //!     --server-bin target/release/privim-serve --bundle chaos.json --smoke
 //! ```
 
-use privim_serve::metrics::parse_counter;
+use privim_bench::{abort, fail, flag_value, parse_or_die, scrape_counter};
+use privim_serve::client::{self, exchange};
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::path::PathBuf;
-use std::process::{exit, Child, Command, Stdio};
+use std::ffi::OsStr;
+use std::path::{Path, PathBuf};
+use std::process::{exit, Child};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -52,11 +52,6 @@ fn usage() -> ! {
     exit(2)
 }
 
-fn fail(msg: impl std::fmt::Display) -> ! {
-    eprintln!("chaos_serve: FAIL: {msg}");
-    exit(1)
-}
-
 fn parse_flags() -> Flags {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut f = Flags {
@@ -70,23 +65,13 @@ fn parse_flags() -> Flags {
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut val = |name: &str| -> String {
-            it.next()
-                .unwrap_or_else(|| {
-                    eprintln!("{name} needs a value");
-                    usage()
-                })
-                .clone()
-        };
         match a.as_str() {
-            "--server-bin" => f.server_bin = PathBuf::from(val("--server-bin")),
-            "--bundle" => f.bundle = PathBuf::from(val("--bundle")),
-            "--wal" => f.wal = Some(PathBuf::from(val("--wal"))),
-            "--tenants" => f.tenants = val("--tenants").parse().unwrap_or_else(|_| usage()),
-            "--kill-after-acks" => {
-                f.kill_after_acks = val("--kill-after-acks").parse().unwrap_or_else(|_| usage())
-            }
-            "--post-acks" => f.post_acks = val("--post-acks").parse().unwrap_or_else(|_| usage()),
+            "--server-bin" => f.server_bin = PathBuf::from(flag_value(&mut it, a)),
+            "--bundle" => f.bundle = PathBuf::from(flag_value(&mut it, a)),
+            "--wal" => f.wal = Some(PathBuf::from(flag_value(&mut it, a))),
+            "--tenants" => f.tenants = parse_or_die(flag_value(&mut it, a), a),
+            "--kill-after-acks" => f.kill_after_acks = parse_or_die(flag_value(&mut it, a), a),
+            "--post-acks" => f.post_acks = parse_or_die(flag_value(&mut it, a), a),
             "--smoke" => f.smoke = true,
             _ => usage(),
         }
@@ -104,104 +89,38 @@ fn parse_flags() -> Flags {
     f
 }
 
-/// Spawn the server and block until it prints its "serving on port N"
-/// banner (stdout is a pipe; the server flushes the banner explicitly).
-fn spawn_server(f: &Flags, wal: &PathBuf) -> (Child, u16) {
-    let mut child = Command::new(&f.server_bin)
-        .arg("run")
-        .arg("--bundle")
-        .arg(&f.bundle)
-        .arg("--addr")
-        .arg("127.0.0.1:0")
-        .arg("--workers")
-        .arg("2")
-        .arg("--wal")
-        .arg(wal)
-        .arg("--fsync")
-        .arg("always")
-        .arg("--compact-every")
-        .arg("0")
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .unwrap_or_else(|e| fail(format!("spawning {}: {e}", f.server_bin.display())));
-    let stdout = child.stdout.take().expect("stdout was piped");
-    let mut reader = BufReader::new(stdout);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        let n = reader
-            .read_line(&mut line)
-            .unwrap_or_else(|e| fail(format!("reading server stdout: {e}")));
-        if n == 0 {
-            let _ = child.kill();
-            fail("server exited before printing its port banner");
-        }
-        print!("  server: {line}");
-        if let Some(rest) = line.strip_prefix("serving on port ") {
-            let port: u16 = rest
-                .split_whitespace()
-                .next()
-                .and_then(|p| p.parse().ok())
-                .unwrap_or_else(|| fail(format!("unparseable banner: {line:?}")));
-            // Keep draining the pipe so the server never blocks on a
-            // full stdout buffer once we stop reading.
-            std::thread::spawn(move || {
-                let mut sink = String::new();
-                let _ = reader.read_to_string(&mut sink);
-            });
-            return (child, port);
-        }
-    }
+fn launch(f: &Flags, wal: &Path) -> (Child, u16) {
+    let os = OsStr::new;
+    let args = [
+        os("run"),
+        os("--bundle"),
+        f.bundle.as_os_str(),
+        os("--addr"),
+        os("127.0.0.1:0"),
+        os("--workers"),
+        os("2"),
+        os("--wal"),
+        wal.as_os_str(),
+        os("--fsync"),
+        os("always"),
+        os("--compact-every"),
+        os("0"),
+    ];
+    client::spawn_server(&f.server_bin, args).unwrap_or_else(|e| fail(e))
 }
 
 /// One metered embed request; returns the HTTP status (0 on I/O error —
 /// connection errors around the kill are expected, not acks).
 fn metered_embed(port: u16, tenant: &str, node: u64) -> u16 {
-    let Ok(mut stream) = TcpStream::connect(("127.0.0.1", port)) else {
-        return 0;
-    };
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
     let body = format!("{{\"nodes\": [{node}]}}");
-    let raw = format!(
-        "POST /v1/embed HTTP/1.1\r\nHost: c\r\nConnection: close\r\nX-Privim-Tenant: {tenant}\r\n\
-         Content-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    if stream.write_all(raw.as_bytes()).is_err() {
-        return 0;
-    }
-    let mut text = String::new();
-    if stream.read_to_string(&mut text).is_err() {
-        return 0;
-    }
-    text.split_ascii_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
+    let tenant_hdr = [("X-Privim-Tenant", tenant)];
+    exchange(port, "POST", "/v1/embed", &tenant_hdr, &body).map_or(0, |r| r.status)
 }
 
-fn scrape_metrics(port: u16) -> String {
-    let Ok(mut stream) = TcpStream::connect(("127.0.0.1", port)) else {
-        fail("restarted server refused /metrics connection");
-    };
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let raw = "GET /metrics HTTP/1.1\r\nHost: c\r\nConnection: close\r\nContent-Length: 0\r\n\r\n";
-    if stream.write_all(raw.as_bytes()).is_err() {
-        fail("writing /metrics request");
-    }
-    let mut text = String::new();
-    let _ = stream.read_to_string(&mut text);
-    text
-}
-
-fn tenant_spend(metrics: &str, tenant: &str) -> u64 {
-    parse_counter(
-        metrics,
-        &format!("privim_tenant_queries_total{{tenant=\"{tenant}\"}}"),
-    )
-    .unwrap_or(0)
+/// Recovered spend of `tenant`; a missing series is an error, since
+/// reading it as zero could hide an undercharge.
+fn tenant_spend(port: u16, tenant: &str) -> Result<u64, String> {
+    scrape_counter(port, &format!("privim_tenant_queries_total{{tenant=\"{tenant}\"}}"))
 }
 
 fn main() {
@@ -213,7 +132,7 @@ fn main() {
     let _ = std::fs::remove_file(&wal);
 
     println!("chaos_serve: phase 1 — serve and acknowledge charges");
-    let (mut child, port) = spawn_server(&f, &wal);
+    let (mut child, port) = launch(&f, &wal);
 
     // Concurrent metered clients; only fully-read 2xx responses count as
     // acknowledged. acks[t] is monotone and updated *before* the driver
@@ -243,12 +162,14 @@ fn main() {
         std::thread::sleep(Duration::from_millis(10));
         spins += 1;
         if spins > 6000 {
-            let _ = child.kill();
-            fail(format!(
-                "only {} acks after 60s (wanted {}) — server not admitting",
-                total(&acks),
-                f.kill_after_acks
-            ));
+            abort(
+                &mut child,
+                format!(
+                    "only {} acks after 60s (wanted {}) — server not admitting",
+                    total(&acks),
+                    f.kill_after_acks
+                ),
+            );
         }
     }
 
@@ -268,11 +189,12 @@ fn main() {
     println!("  {acked_total} charges acknowledged before the kill: {acked:?}");
 
     println!("chaos_serve: phase 3 — restart on the same bundle + journal");
-    let (mut child, port) = spawn_server(&f, &wal);
-    let metrics = scrape_metrics(port);
+    let (mut child, port) = launch(&f, &wal);
     let mut violations = 0u64;
-    for (tenant, &n) in &acked {
-        let recovered = tenant_spend(&metrics, tenant);
+    // A tenant with no acknowledged charge has nothing to recover (and
+    // no series to read).
+    for (tenant, &n) in acked.iter().filter(|(_, &n)| n > 0) {
+        let recovered = tenant_spend(port, tenant).unwrap_or_else(|e| abort(&mut child, e));
         let verdict = if recovered >= n { "ok" } else { "UNDERCHARGE" };
         println!("  {tenant}: acked {n}, recovered {recovered} — {verdict}");
         if recovered < n {
@@ -280,32 +202,31 @@ fn main() {
         }
     }
     if violations > 0 {
-        let _ = child.kill();
-        fail(format!(
-            "{violations} tenant(s) lost acknowledged charges across kill-9"
-        ));
+        abort(
+            &mut child,
+            format!("{violations} tenant(s) lost acknowledged charges across kill-9"),
+        );
     }
 
     println!("chaos_serve: phase 4 — serving resumes and keeps charging");
-    let before = tenant_spend(&metrics, "tenant-0");
+    let before = tenant_spend(port, "tenant-0").unwrap_or_else(|e| abort(&mut child, e));
     let mut post = 0u64;
     let mut attempts = 0u64;
     while post < f.post_acks {
         attempts += 1;
         if attempts > 50 * f.post_acks {
-            let _ = child.kill();
-            fail("restarted server stopped admitting metered traffic");
+            abort(&mut child, "restarted server stopped admitting metered traffic");
         }
         if metered_embed(port, "tenant-0", attempts % 7) == 200 {
             post += 1;
         }
     }
-    let after = tenant_spend(&scrape_metrics(port), "tenant-0");
+    let after = tenant_spend(port, "tenant-0").unwrap_or_else(|e| abort(&mut child, e));
     if after < before + post {
-        let _ = child.kill();
-        fail(format!(
-            "post-restart spend {after} < recovered {before} + {post} new acks"
-        ));
+        abort(
+            &mut child,
+            format!("post-restart spend {after} < recovered {before} + {post} new acks"),
+        );
     }
     let _ = child.kill();
     let _ = child.wait();

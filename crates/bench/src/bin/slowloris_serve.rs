@@ -23,11 +23,13 @@
 //!     --server-bin target/release/privim-serve --bundle serve.json --smoke
 //! ```
 
-use privim_serve::metrics::parse_counter;
-use std::io::{BufRead, BufReader, Read, Write};
+use privim_bench::{abort, fail, flag_value, parse_or_die, scrape_counter};
+use privim_serve::client::{self, exchange, frame, read_response};
+use std::ffi::OsStr;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::process::{exit, Child, Command, Stdio};
+use std::process::{exit, Child};
 use std::time::{Duration, Instant};
 
 struct Flags {
@@ -48,11 +50,6 @@ fn usage() -> ! {
     exit(2)
 }
 
-fn fail(msg: impl std::fmt::Display) -> ! {
-    eprintln!("slowloris_serve: FAIL: {msg}");
-    exit(1)
-}
-
 fn parse_flags() -> Flags {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut f = Flags {
@@ -65,25 +62,12 @@ fn parse_flags() -> Flags {
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut val = |name: &str| -> String {
-            it.next()
-                .unwrap_or_else(|| {
-                    eprintln!("{name} needs a value");
-                    usage()
-                })
-                .clone()
-        };
         match a.as_str() {
-            "--server-bin" => f.server_bin = PathBuf::from(val("--server-bin")),
-            "--bundle" => f.bundle = PathBuf::from(val("--bundle")),
-            "--attackers" => f.attackers = val("--attackers").parse().unwrap_or_else(|_| usage()),
-            "--header-timeout-ms" => {
-                f.header_timeout_ms =
-                    val("--header-timeout-ms").parse().unwrap_or_else(|_| usage())
-            }
-            "--idle-timeout-ms" => {
-                f.idle_timeout_ms = val("--idle-timeout-ms").parse().unwrap_or_else(|_| usage())
-            }
+            "--server-bin" => f.server_bin = PathBuf::from(flag_value(&mut it, a)),
+            "--bundle" => f.bundle = PathBuf::from(flag_value(&mut it, a)),
+            "--attackers" => f.attackers = parse_or_die(flag_value(&mut it, a), a),
+            "--header-timeout-ms" => f.header_timeout_ms = parse_or_die(flag_value(&mut it, a), a),
+            "--idle-timeout-ms" => f.idle_timeout_ms = parse_or_die(flag_value(&mut it, a), a),
             "--smoke" => f.smoke = true,
             _ => usage(),
         }
@@ -100,92 +84,35 @@ fn parse_flags() -> Flags {
     f
 }
 
-/// Spawn the server and block until it prints its "serving on port N"
-/// banner (stdout is a pipe; the server flushes the banner explicitly).
-fn spawn_server(f: &Flags) -> (Child, u16) {
-    let mut child = Command::new(&f.server_bin)
-        .arg("run")
-        .arg("--bundle")
-        .arg(&f.bundle)
-        .arg("--addr")
-        .arg("127.0.0.1:0")
-        .arg("--workers")
-        .arg("2")
-        .arg("--no-wal")
-        .arg("--header-timeout-ms")
-        .arg(f.header_timeout_ms.to_string())
-        .arg("--idle-timeout-ms")
-        .arg(f.idle_timeout_ms.to_string())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .unwrap_or_else(|e| fail(format!("spawning {}: {e}", f.server_bin.display())));
-    let stdout = child.stdout.take().expect("stdout was piped");
-    let mut reader = BufReader::new(stdout);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        let n = reader
-            .read_line(&mut line)
-            .unwrap_or_else(|e| fail(format!("reading server stdout: {e}")));
-        if n == 0 {
-            let _ = child.kill();
-            fail("server exited before printing its port banner");
-        }
-        print!("  server: {line}");
-        if let Some(rest) = line.strip_prefix("serving on port ") {
-            let port: u16 = rest
-                .split_whitespace()
-                .next()
-                .and_then(|p| p.parse().ok())
-                .unwrap_or_else(|| fail(format!("unparseable banner: {line:?}")));
-            // Keep draining the pipe so the server never blocks on a
-            // full stdout buffer once we stop reading.
-            std::thread::spawn(move || {
-                let mut sink = String::new();
-                let _ = reader.read_to_string(&mut sink);
-            });
-            return (child, port);
-        }
-    }
+fn launch(f: &Flags) -> (Child, u16) {
+    let header_ms = f.header_timeout_ms.to_string();
+    let idle_ms = f.idle_timeout_ms.to_string();
+    let os = OsStr::new;
+    let args = [
+        os("run"),
+        os("--bundle"),
+        f.bundle.as_os_str(),
+        os("--addr"),
+        os("127.0.0.1:0"),
+        os("--workers"),
+        os("2"),
+        os("--no-wal"),
+        os("--header-timeout-ms"),
+        os(&header_ms),
+        os("--idle-timeout-ms"),
+        os(&idle_ms),
+    ];
+    client::spawn_server(&f.server_bin, args).unwrap_or_else(|e| fail(e))
 }
 
 /// One-shot healthz probe; returns true on a 200.
 fn healthz_ok(port: u16) -> bool {
-    let Ok(mut s) = TcpStream::connect(("127.0.0.1", port)) else {
-        return false;
-    };
-    let _ = s.set_read_timeout(Some(Duration::from_secs(10)));
-    if s.write_all(b"GET /healthz HTTP/1.1\r\nHost: s\r\nConnection: close\r\n\r\n").is_err() {
-        return false;
-    }
-    let mut text = String::new();
-    if s.read_to_string(&mut text).is_err() {
-        return false;
-    }
-    text.starts_with("HTTP/1.1 200")
-}
-
-fn scrape_metrics(port: u16) -> String {
-    let Ok(mut s) = TcpStream::connect(("127.0.0.1", port)) else {
-        fail("server refused /metrics connection");
-    };
-    let _ = s.set_read_timeout(Some(Duration::from_secs(10)));
-    if s.write_all(b"GET /metrics HTTP/1.1\r\nHost: s\r\nConnection: close\r\n\r\n").is_err() {
-        fail("writing /metrics request");
-    }
-    let mut text = String::new();
-    let _ = s.read_to_string(&mut text);
-    text
-}
-
-fn counter(port: u16, name: &str) -> u64 {
-    parse_counter(&scrape_metrics(port), name).unwrap_or(0)
+    exchange(port, "GET", "/healthz", &[], "").is_ok_and(|r| r.status == 200)
 }
 
 fn main() {
     let f = parse_flags();
-    let (mut child, port) = spawn_server(&f);
+    let (mut child, port) = launch(&f);
     println!(
         "slowloris gate: {} attackers vs header-timeout {}ms / idle-timeout {}ms",
         f.attackers, f.header_timeout_ms, f.idle_timeout_ms
@@ -206,8 +133,8 @@ fn main() {
         })
         .collect();
     if attackers.len() != f.attackers {
-        let _ = child.kill();
-        fail(format!("only {}/{} attack connections opened", attackers.len(), f.attackers));
+        let opened = attackers.len();
+        abort(&mut child, format!("only {opened}/{} attack connections opened", f.attackers));
     }
     for s in &mut attackers {
         let _ = s.write_all(b"POST /v1/embed HTTP/1.1\r\nHos");
@@ -222,14 +149,12 @@ fn main() {
     let mut open: Vec<TcpStream> = attackers;
     while !open.is_empty() {
         if Instant::now() > deadline {
-            let _ = child.kill();
-            fail(format!("{} slowloris connection(s) never reaped", open.len()));
+            abort(&mut child, format!("{} slowloris connection(s) never reaped", open.len()));
         }
         std::thread::sleep(Duration::from_millis(200));
         // The attack must not starve real traffic.
         if !healthz_ok(port) {
-            let _ = child.kill();
-            fail("healthy client starved while slowloris pack was dribbling");
+            abort(&mut child, "healthy client starved while slowloris pack was dribbling");
         }
         healthy_checks += 1;
         let byte = [dribble[di % dribble.len()]];
@@ -252,78 +177,74 @@ fn main() {
         "ok  all {} slowloris connections reaped; healthy client served {healthy_checks} time(s) during the attack",
         f.attackers
     );
-    let reaped = counter(port, "privim_header_timeout_closes_total");
+    let reaped = scrape_counter(port, "privim_header_timeout_closes_total")
+        .unwrap_or_else(|e| abort(&mut child, e));
     if reaped < f.attackers as u64 {
-        let _ = child.kill();
-        fail(format!(
-            "header_timeout_closes_total = {reaped}, expected >= {}",
-            f.attackers
-        ));
+        let want = f.attackers;
+        abort(&mut child, format!("header_timeout_closes_total = {reaped}, expected >= {want}"));
     }
     println!("ok  privim_header_timeout_closes_total = {reaped}");
 
     // Phase 3: a keep-alive connection that completes one exchange and
     // then goes silent must be reaped by the idle timeout.
     let mut idle = TcpStream::connect(("127.0.0.1", port))
-        .unwrap_or_else(|e| fail(format!("idle connect: {e}")));
+        .unwrap_or_else(|e| abort(&mut child, format!("idle connect: {e}")));
     let _ = idle.set_read_timeout(Some(Duration::from_millis(f.idle_timeout_ms * 4 + 2_000)));
-    idle.write_all(b"GET /healthz HTTP/1.1\r\nHost: s\r\n\r\n")
-        .unwrap_or_else(|e| fail(format!("idle request: {e}")));
-    let mut text = String::new();
-    // Keep-alive response, then server-side close on idle timeout: EOF
-    // ends read_to_string without a Connection: close from us.
-    idle.read_to_string(&mut text)
-        .unwrap_or_else(|e| fail(format!("idle connection never reaped: {e}")));
-    if !text.starts_with("HTTP/1.1 200") {
-        let _ = child.kill();
-        fail(format!("idle exchange failed: {text:?}"));
+    idle.write_all(&frame("GET", "/healthz", &[], "", false))
+        .unwrap_or_else(|e| abort(&mut child, format!("idle request: {e}")));
+    let mut carry = Vec::new();
+    match read_response(&mut idle, &mut carry) {
+        Ok(r) if r.status == 200 => {}
+        Ok(r) => abort(&mut child, format!("idle exchange failed: {} {:?}", r.status, r.body)),
+        Err(e) => abort(&mut child, format!("idle exchange failed: {e}")),
     }
-    let idle_reaps = counter(port, "privim_idle_timeout_closes_total");
+    // Keep-alive response, then server-side close on idle timeout: EOF
+    // ends read_to_end without a Connection: close from us.
+    idle.read_to_end(&mut carry)
+        .unwrap_or_else(|e| abort(&mut child, format!("idle connection never reaped: {e}")));
+    let idle_reaps = scrape_counter(port, "privim_idle_timeout_closes_total")
+        .unwrap_or_else(|e| abort(&mut child, e));
     if idle_reaps < 1 {
-        let _ = child.kill();
-        fail("idle keep-alive connection was closed but not attributed to the idle timeout");
+        abort(
+            &mut child,
+            "idle keep-alive connection was closed but not attributed to the idle timeout",
+        );
     }
     println!("ok  idle keep-alive connection reaped (idle_timeout_closes_total = {idle_reaps})");
 
     // Phase 4: nothing left open. The scrape's own short-lived connection
     // is the one permitted reading.
-    let open_now = counter(port, "privim_open_connections");
+    let open_now = scrape_counter(port, "privim_open_connections")
+        .unwrap_or_else(|e| abort(&mut child, e));
     if open_now > 1 {
-        let _ = child.kill();
-        fail(format!(
-            "privim_open_connections = {open_now} after all clients left (only the scrape's own connection may be open)"
-        ));
+        abort(
+            &mut child,
+            format!(
+                "privim_open_connections = {open_now} after all clients left (only the scrape's own connection may be open)"
+            ),
+        );
     }
     println!("ok  open connections back to zero (scrape excluded)");
 
     // Orderly exit: SIGTERM drains; fall back to SIGKILL on a wedge.
-    #[cfg(unix)]
-    {
-        extern "C" {
-            fn kill(pid: i32, sig: i32) -> i32;
-        }
-        const SIGTERM: i32 = 15;
-        // privim-lint: allow(unsafe, reason = "libc kill() FFI sending SIGTERM to the child we spawned; pid comes from Child::id and the call has no memory-safety surface")
-        unsafe {
-            kill(child.id() as i32, SIGTERM);
-        }
-        let t0 = Instant::now();
-        loop {
-            match child.try_wait() {
-                Ok(Some(_)) => break,
-                Ok(None) if t0.elapsed() > Duration::from_secs(15) => {
-                    let _ = child.kill();
-                    fail("server did not drain within 15s of SIGTERM");
-                }
-                Ok(None) => std::thread::sleep(Duration::from_millis(100)),
-                Err(e) => fail(format!("waiting on server: {e}")),
-            }
-        }
+    extern "C" {
+        fn kill(pid: i32, sig: i32) -> i32;
     }
-    #[cfg(not(unix))]
-    {
-        let _ = child.kill();
-        let _ = child.wait();
+    const SIGTERM: i32 = 15;
+    // privim-lint: allow(unsafe, reason = "libc kill() FFI sending SIGTERM to the child we spawned; pid comes from Child::id and the call has no memory-safety surface")
+    unsafe {
+        kill(child.id() as i32, SIGTERM);
+    }
+    let t0 = Instant::now();
+    loop {
+        match child.try_wait() {
+            Ok(Some(_)) => break,
+            Ok(None) if t0.elapsed() > Duration::from_secs(15) => {
+                abort(&mut child, "server did not drain within 15s of SIGTERM");
+            }
+            Ok(None) => std::thread::sleep(Duration::from_millis(100)),
+            Err(e) => fail(format!("waiting on server: {e}")),
+        }
     }
     println!("slowloris gate passed");
 }

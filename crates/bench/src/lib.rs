@@ -10,6 +10,11 @@
 //! 2. generates the calibrated dataset(s),
 //! 3. runs the methods and prints the paper's rows/series, and
 //! 4. optionally writes machine-readable JSON next to the pretty output.
+//!
+//! The serving gates (`smoke_serve`, `slowloris_serve`, `chaos_serve`)
+//! share its flag parsing ([`flag_value`], [`parse_or_die`]), its exits
+//! ([`die`] for usage, [`fail`]/[`abort`] for a gate verdict) and
+//! [`scrape_counter`].
 
 use privim::pipeline::PipelineParams;
 use privim_graph::datasets::Dataset;
@@ -65,24 +70,19 @@ impl ExpArgs {
     /// Parse from an explicit argument list (tests).
     pub fn parse(argv: &[String]) -> Self {
         let mut args = ExpArgs::default();
-        let mut it = argv.iter().peekable();
-        fn need(it: &mut std::iter::Peekable<std::slice::Iter<String>>, flag: &str) -> String {
-            it.next()
-                .unwrap_or_else(|| die(&format!("{flag} needs a value")))
-                .clone()
-        }
+        let mut it = argv.iter();
         while let Some(a) = it.next() {
             match a.as_str() {
-                "--scale" => args.scale = parse_or_die(&need(&mut it, "--scale"), "--scale"),
-                "--reps" => args.reps = parse_or_die(&need(&mut it, "--reps"), "--reps"),
-                "--k" => args.k = parse_or_die(&need(&mut it, "--k"), "--k"),
-                "--seed" => args.seed = parse_or_die(&need(&mut it, "--seed"), "--seed"),
+                "--scale" => args.scale = parse_or_die(flag_value(&mut it, "--scale"), "--scale"),
+                "--reps" => args.reps = parse_or_die(flag_value(&mut it, "--reps"), "--reps"),
+                "--k" => args.k = parse_or_die(flag_value(&mut it, "--k"), "--k"),
+                "--seed" => args.seed = parse_or_die(flag_value(&mut it, "--seed"), "--seed"),
                 "--eps" => {
-                    let v = need(&mut it, "--eps");
+                    let v = flag_value(&mut it, "--eps");
                     args.eps = v.split(',').map(|s| parse_or_die(s, "--eps")).collect();
                 }
                 "--dataset" | "--datasets" => {
-                    let v = need(&mut it, "--dataset");
+                    let v = flag_value(&mut it, "--dataset");
                     args.datasets = v
                         .split(',')
                         .map(|s| {
@@ -91,7 +91,7 @@ impl ExpArgs {
                         })
                         .collect();
                 }
-                "--out" => args.out = Some(PathBuf::from(need(&mut it, "--out"))),
+                "--out" => args.out = Some(PathBuf::from(flag_value(&mut it, "--out"))),
                 "--fast" => args.fast = true,
                 "--help" | "-h" => {
                     eprintln!("{USAGE}");
@@ -148,15 +148,46 @@ const USAGE: &str = "common flags:
   --fast               smoke mode: tiny graphs + short training
   --seed <u64>         base RNG seed (default 42)";
 
-fn die(msg: &str) -> ! {
+/// Usage error: print `error: {msg}` and exit 2.
+pub fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2);
 }
 
-fn parse_or_die<T: std::str::FromStr>(s: &str, flag: &str) -> T {
+/// Parse a flag's value, or [`die`] naming the flag.
+pub fn parse_or_die<T: std::str::FromStr>(s: &str, flag: &str) -> T {
     s.trim()
         .parse()
         .unwrap_or_else(|_| die(&format!("cannot parse {flag} value {s:?}")))
+}
+
+/// The argument after `flag`, or [`die`] when there is none.
+pub fn flag_value<'a>(it: &mut impl Iterator<Item = &'a String>, flag: &str) -> &'a str {
+    it.next().unwrap_or_else(|| die(&format!("{flag} needs a value")))
+}
+
+/// A gate's verdict: print `FAIL: {msg}` and exit 1 (distinct from the
+/// usage exit code 2 of [`die`]).
+pub fn fail(msg: impl std::fmt::Display) -> ! {
+    eprintln!("FAIL: {msg}");
+    std::process::exit(1);
+}
+
+/// [`fail`], after killing the server process the gate spawned.
+pub fn abort(server: &mut std::process::Child, msg: impl std::fmt::Display) -> ! {
+    let _ = server.kill();
+    let _ = server.wait();
+    fail(msg)
+}
+
+/// One series from the `/metrics` page of the server on `port`. A failed
+/// scrape or a missing series is an error, never a zero that could pass
+/// a gate's check vacuously.
+pub fn scrape_counter(port: u16, series: &str) -> Result<u64, String> {
+    let text = privim_serve::client::scrape_metrics(port)
+        .map_err(|e| format!("scraping /metrics: {e}"))?;
+    privim_serve::metrics::parse_counter(&text, series)
+        .ok_or_else(|| format!("/metrics has no {series}"))
 }
 
 /// Print a Markdown-ish table: header row + aligned columns.

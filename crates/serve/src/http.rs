@@ -193,7 +193,7 @@ pub fn parse_one(buf: &[u8]) -> Result<Option<ParsedRequest>, HttpError> {
 /// beyond the already-trimmed value, no hex), rejected on overflow — so
 /// a malformed length can never stall the connection in a body read that
 /// will never complete.
-fn parse_content_length(value: &str) -> Result<usize, HttpError> {
+pub(crate) fn parse_content_length(value: &str) -> Result<usize, HttpError> {
     if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
         return Err(HttpError::bad("malformed Content-Length"));
     }
@@ -203,7 +203,7 @@ fn parse_content_length(value: &str) -> Result<usize, HttpError> {
 }
 
 /// Offset one past the `\r\n\r\n` header terminator, if present.
-fn find_head_end(buf: &[u8]) -> Option<usize> {
+pub(crate) fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4)
         .position(|w| w == b"\r\n\r\n")
         .map(|p| p + 4)

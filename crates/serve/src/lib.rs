@@ -67,6 +67,7 @@ compile_error!("privim-serve is Linux only: its front end is an epoll reactor");
 
 pub mod bundle;
 pub mod cache;
+pub mod client;
 pub(crate) mod conn;
 pub mod http;
 pub mod ledger;

@@ -7,125 +7,27 @@
 //! drain. (Queue-full and deadline shedding are covered in
 //! `tests/reactor.rs`.)
 
-use privim::ServeArtifact;
-use privim_gnn::{GnnConfig, GnnModel, QuantGnnModel};
-use privim_graph::Graph;
+mod common;
+
+use common::test_bundle;
+use privim_gnn::QuantGnnModel;
 use privim_im::{celf_exact, ic_spread_estimate};
 use privim_rt::json::Value;
-use privim_rt::{ChaCha8Rng, SeedableRng};
-use privim_serve::{bundle, metrics, start, LedgerConfig, LedgerState, ServeConfig};
+use privim_serve::client::{self, exchange};
+use privim_serve::{bundle, metrics, start, LedgerConfig, ServeConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-/// A small but non-trivial serving bundle. The model is untrained —
-/// serving behaviour does not depend on weight quality, and skipping
-/// DP-SGD keeps the suite fast.
-fn test_bundle(seed: u64) -> (bundle::Bundle, Graph, GnnModel) {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let g = privim_graph::generators::barabasi_albert(120, 3, &mut rng)
-        .with_uniform_weights(1.0);
-    let model = GnnModel::new(GnnConfig::paper_default(), &mut rng);
-    let artifact = ServeArtifact {
-        model: model.clone(),
-        epsilon: Some(2.0),
-        delta: 1e-4,
-        sigma: 1.5,
-        steps: 80,
-    };
-    let mut buf = Vec::new();
-    bundle::save(&artifact, &g, &mut buf).unwrap();
-    (bundle::load(buf.as_slice()).unwrap(), g, model)
-}
-
-/// Same bundle, but packed metered: a per-tenant budget ledger rides in
-/// the (version 2) bundle.
-fn test_bundle_with_ledger(seed: u64, ledger: LedgerConfig) -> bundle::Bundle {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let g = privim_graph::generators::barabasi_albert(120, 3, &mut rng)
-        .with_uniform_weights(1.0);
-    let model = GnnModel::new(GnnConfig::paper_default(), &mut rng);
-    let artifact = ServeArtifact {
-        model,
-        epsilon: Some(2.0),
-        delta: 1e-4,
-        sigma: 1.5,
-        steps: 80,
-    };
-    let mut buf = Vec::new();
-    bundle::save_with_ledger(&artifact, &g, &LedgerState::new(ledger), &mut buf).unwrap();
-    bundle::load(buf.as_slice()).unwrap()
-}
-
-/// One-shot HTTP exchange: connect, send, read the full response,
-/// return (status, body).
-fn request(port: u16, method: &str, path: &str, body: &str) -> (u16, String) {
-    let (status, _headers, body) = request_with_headers(port, method, path, &[], body);
-    (status, body)
-}
-
-/// [`request`] with request headers attached and response headers
-/// returned (the `429` test asserts on `Retry-After`).
-fn request_with_headers(
-    port: u16,
-    method: &str,
-    path: &str,
-    headers: &[(&str, &str)],
-    body: &str,
-) -> (u16, String, String) {
-    let mut stream = TcpStream::connect(("127.0.0.1", port)).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(20)))
-        .unwrap();
-    // One-shot client: ask the server to close after the response so
-    // `read_to_string` terminates under the keep-alive (reactor) front
-    // end too.
-    let mut raw = format!("{method} {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n");
-    for (name, value) in headers {
-        raw.push_str(&format!("{name}: {value}\r\n"));
-    }
-    raw.push_str(&format!("Content-Length: {}\r\n\r\n{body}", body.len()));
-    stream.write_all(raw.as_bytes()).unwrap();
-    let mut text = String::new();
-    stream.read_to_string(&mut text).unwrap();
-    let status: u16 = text
-        .split_ascii_whitespace()
-        .nth(1)
-        .unwrap_or("0")
-        .parse()
-        .unwrap_or(0);
-    let (head, body) = text
-        .split_once("\r\n\r\n")
-        .map(|(h, b)| (h.to_string(), b.to_string()))
-        .unwrap_or_default();
-    (status, head, body)
-}
-
-fn read_response(stream: &mut TcpStream) -> (u16, String) {
-    let mut text = String::new();
-    stream.read_to_string(&mut text).unwrap();
-    let status: u16 = text
-        .split_ascii_whitespace()
-        .nth(1)
-        .unwrap_or("0")
-        .parse()
-        .unwrap_or(0);
-    let body = text
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
 fn post_json(port: u16, path: &str, body: &str) -> (u16, Value) {
-    let (status, text) = request(port, "POST", path, body);
-    (status, Value::parse(&text).unwrap())
+    let r = exchange(port, "POST", path, &[], body).unwrap();
+    (r.status, Value::parse(&r.body).unwrap())
 }
 
 #[test]
 fn responses_are_bit_identical_to_library_calls() {
-    let (b, g, model) = test_bundle(1);
+    let (b, g, model) = test_bundle(1, 120, None);
     let handle = start(b, ServeConfig::default()).unwrap();
     let port = handle.port();
 
@@ -186,10 +88,10 @@ fn responses_are_bit_identical_to_library_calls() {
     }
 
     // /healthz carries the graph fingerprint of the loaded bundle.
-    let (status, text) = request(port, "GET", "/healthz", "");
-    assert_eq!(status, 200);
+    let r = exchange(port, "GET", "/healthz", &[], "").unwrap();
+    assert_eq!(r.status, 200);
     let fp = format!("{:#018x}", bundle::graph_fingerprint(&g));
-    assert!(text.contains(&fp), "healthz missing fingerprint: {text}");
+    assert!(r.body.contains(&fp), "healthz missing fingerprint: {}", r.body);
 
     handle.shutdown();
 }
@@ -206,7 +108,7 @@ fn expected_embed_body(scores: &[f64], nodes: &[usize]) -> String {
 
 #[test]
 fn int8_bundle_serves_the_quant_model_scores() {
-    let (_, g, model) = test_bundle(7);
+    let (_, g, model) = test_bundle(7, 120, None);
     let q = QuantGnnModel::from_model(&model);
     let privacy = bundle::PrivacyStatement {
         epsilon: Some(2.0),
@@ -226,15 +128,16 @@ fn int8_bundle_serves_the_quant_model_scores() {
 
     let handle = start(b, ServeConfig::default()).unwrap();
     let nodes = [0usize, 7, 63, 119];
-    let (status, body) = request(handle.port(), "POST", "/v1/embed", "{\"nodes\": [0, 7, 63, 119]}");
-    assert_eq!(status, 200, "{body}");
-    assert_eq!(body, expected_embed_body(&quant_scores, &nodes));
+    let r = exchange(handle.port(), "POST", "/v1/embed", &[], "{\"nodes\": [0, 7, 63, 119]}")
+        .unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    assert_eq!(r.body, expected_embed_body(&quant_scores, &nodes));
     handle.shutdown();
 }
 
 #[test]
 fn metrics_reflect_requests_and_one_lazy_forward_pass() {
-    let (b, g, model) = test_bundle(2);
+    let (b, g, model) = test_bundle(2, 120, None);
     let direct = model.score_graph(&g);
     let cfg = ServeConfig {
         workers: 8,
@@ -245,8 +148,7 @@ fn metrics_reflect_requests_and_one_lazy_forward_pass() {
 
     // Scores are computed on first use, not at startup: a fresh server
     // has run no forward pass.
-    let (status, text) = request(port, "GET", "/metrics", "");
-    assert_eq!(status, 200);
+    let text = client::scrape_metrics(port).unwrap();
     assert_eq!(
         metrics::parse_counter(&text, "privim_batch_forward_passes_total"),
         Some(0),
@@ -263,27 +165,26 @@ fn metrics_reflect_requests_and_one_lazy_forward_pass() {
                 let nodes = [i, i + 50];
                 barrier.wait();
                 let body = format!("{{\"nodes\": [{}, {}]}}", nodes[0], nodes[1]);
-                (nodes, request(port, "POST", "/v1/embed", &body))
+                (nodes, exchange(port, "POST", "/v1/embed", &[], &body).unwrap())
             })
         })
         .collect();
     for t in threads {
-        let (nodes, (status, body)) = t.join().unwrap();
-        assert_eq!(status, 200, "{body}");
-        assert_eq!(body, expected_embed_body(&direct, &nodes));
+        let (nodes, r) = t.join().unwrap();
+        assert_eq!(r.status, 200, "{}", r.body);
+        assert_eq!(r.body, expected_embed_body(&direct, &nodes));
     }
     // Later requests are lookups into the same scores.
     let sequential = 3;
     for i in 0..sequential {
         let nodes = [100 + i, 119];
         let body = format!("{{\"nodes\": [{}, {}]}}", nodes[0], nodes[1]);
-        let (status, got) = request(port, "POST", "/v1/embed", &body);
-        assert_eq!(status, 200, "{got}");
-        assert_eq!(got, expected_embed_body(&direct, &nodes));
+        let r = exchange(port, "POST", "/v1/embed", &[], &body).unwrap();
+        assert_eq!(r.status, 200, "{}", r.body);
+        assert_eq!(r.body, expected_embed_body(&direct, &nodes));
     }
 
-    let (status, text) = request(port, "GET", "/metrics", "");
-    assert_eq!(status, 200);
+    let text = client::scrape_metrics(port).unwrap();
     let counter = |name: &str| metrics::parse_counter(&text, name);
     assert_eq!(
         counter("privim_requests_total{endpoint=\"embed\"}"),
@@ -310,7 +211,7 @@ fn metrics_reflect_requests_and_one_lazy_forward_pass() {
 
 #[test]
 fn shutdown_drains_in_flight_requests() {
-    let (b, g, model) = test_bundle(4);
+    let (b, g, model) = test_bundle(4, 120, None);
     let handle = start(b, ServeConfig::default()).unwrap();
     let port = handle.port();
 
@@ -342,9 +243,9 @@ fn shutdown_drains_in_flight_requests() {
     // worker exits, so returning at all proves the drain completed.
     let drained = handle.shutdown();
     finisher.join().unwrap();
-    let (status, text) = read_response(&mut slow);
-    assert_eq!(status, 200, "in-flight request must complete: {text}");
-    let v = Value::parse(&text).unwrap();
+    let r = client::read_response(&mut slow, &mut Vec::new()).unwrap();
+    assert_eq!(r.status, 200, "in-flight request must complete: {}", r.body);
+    let v = Value::parse(&r.body).unwrap();
     let row = v.get("scores").and_then(|s| s.as_array()).unwrap()[0]
         .as_array()
         .unwrap();
@@ -376,7 +277,7 @@ fn exhausted_tenant_gets_429_with_retry_after_and_correct_gauges() {
         query_sigma: 8.0,
         retry_after_secs: 45,
     };
-    let b = test_bundle_with_ledger(5, ledger);
+    let (b, _, _) = test_bundle(5, 120, Some(ledger));
     let handle = start(b, ServeConfig::default()).unwrap();
     let port = handle.port();
     let tenant_hdr = [("X-Privim-Tenant", "acme")];
@@ -386,15 +287,14 @@ fn exhausted_tenant_gets_429_with_retry_after_and_correct_gauges() {
     // naming the tenant and the spend.
     let mut granted = 0u64;
     let (retry_head, refusal_body) = loop {
-        let (status, head, body) =
-            request_with_headers(port, "POST", "/v1/embed", &tenant_hdr, "{\"nodes\": [1, 2]}");
-        match status {
+        let r = exchange(port, "POST", "/v1/embed", &tenant_hdr, "{\"nodes\": [1, 2]}").unwrap();
+        match r.status {
             200 => {
                 granted += 1;
                 assert!(granted < 1000, "tight budget never exhausted");
             }
-            429 => break (head, body),
-            other => panic!("unexpected status {other}: {body}"),
+            429 => break (r.head, r.body),
+            other => panic!("unexpected status {other}: {}", r.body),
         }
     };
     assert!(granted >= 1, "at least one query must fit in the budget");
@@ -409,27 +309,20 @@ fn exhausted_tenant_gets_429_with_retry_after_and_correct_gauges() {
 
     // Exhaustion is sticky: immediately refused again, on any metered
     // endpoint.
-    let (status, head, _) =
-        request_with_headers(port, "POST", "/v1/seeds", &tenant_hdr, "{\"k\": 3}");
-    assert_eq!(status, 429);
-    assert!(head.contains("Retry-After: 45"));
+    let r = exchange(port, "POST", "/v1/seeds", &tenant_hdr, "{\"k\": 3}").unwrap();
+    assert_eq!(r.status, 429);
+    assert!(r.head.contains("Retry-After: 45"));
 
     // Unmetered requests (no tenant header) still work — and so does a
     // different tenant with its own untouched budget.
-    let (status, _) = request(port, "POST", "/v1/embed", "{\"nodes\": [3]}");
-    assert_eq!(status, 200, "requests without a tenant header are unmetered");
-    let (status, _, _) = request_with_headers(
-        port,
-        "POST",
-        "/v1/embed",
-        &[("X-Privim-Tenant", "other")],
-        "{\"nodes\": [4]}",
-    );
-    assert_eq!(status, 200, "tenants have independent budgets");
+    let r = exchange(port, "POST", "/v1/embed", &[], "{\"nodes\": [3]}").unwrap();
+    assert_eq!(r.status, 200, "requests without a tenant header are unmetered");
+    let other = [("X-Privim-Tenant", "other")];
+    let r = exchange(port, "POST", "/v1/embed", &other, "{\"nodes\": [4]}").unwrap();
+    assert_eq!(r.status, 200, "tenants have independent budgets");
 
     // The /metrics gauges agree with what just happened.
-    let (status, text) = request(port, "GET", "/metrics", "");
-    assert_eq!(status, 200);
+    let text = client::scrape_metrics(port).unwrap();
     assert_eq!(
         metrics::parse_counter(&text, "privim_tenant_queries_total{tenant=\"acme\"}"),
         Some(granted)
@@ -466,29 +359,22 @@ fn exhausted_tenant_gets_429_with_retry_after_and_correct_gauges() {
 
 #[test]
 fn metrics_counters_are_monotone_across_graceful_drain() {
-    let (b, _g, _m) = test_bundle(6);
+    let (b, _, _) = test_bundle(6, 120, None);
     let handle = start(b, ServeConfig::default()).unwrap();
     let port = handle.port();
 
     for i in 0..4 {
-        let (status, _) =
-            request(port, "POST", "/v1/embed", &format!("{{\"nodes\": [{i}]}}"));
-        assert_eq!(status, 200);
+        let body = format!("{{\"nodes\": [{i}]}}");
+        assert_eq!(exchange(port, "POST", "/v1/embed", &[], &body).unwrap().status, 200);
     }
-    let (status, before) = request(port, "GET", "/metrics", "");
-    assert_eq!(status, 200);
+    let before = client::scrape_metrics(port).unwrap();
 
     // More traffic between the scrape and the drain.
     for _ in 0..2 {
-        let (status, _) = request(
-            port,
-            "POST",
-            "/v1/influence",
-            "{\"seeds\": [2, 5], \"runs\": 16, \"seed\": 3}",
-        );
-        assert_eq!(status, 200);
+        let body = "{\"seeds\": [2, 5], \"runs\": 16, \"seed\": 3}";
+        assert_eq!(exchange(port, "POST", "/v1/influence", &[], body).unwrap().status, 200);
     }
-    let (_, _) = request(port, "GET", "/healthz", "");
+    exchange(port, "GET", "/healthz", &[], "").unwrap();
 
     let (_drained, after) = handle.drain();
 

@@ -3,92 +3,32 @@
 //! responses, slowloris/idle reaping, queue-full and deadline shedding,
 //! and drain-during-keep-alive.
 //!
-//! These tests use a *framed* client (parse `Content-Length`, read
-//! exactly that many body bytes) rather than read-to-EOF, because the
+//! These tests read with the framed `client::read_response` (exactly
+//! `Content-Length` body bytes) rather than read-to-EOF, because the
 //! whole point of keep-alive is that the connection stays open.
 
-use privim::ServeArtifact;
-use privim_gnn::{GnnConfig, GnnModel};
-use privim_rt::{ChaCha8Rng, SeedableRng};
-use privim_serve::{bundle, metrics, start, ServeConfig, ServerHandle};
+mod common;
+
+use privim_serve::client::{frame, read_response, Response};
+use privim_serve::{metrics, start, ServeConfig, ServerHandle};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-fn test_bundle(seed: u64) -> bundle::Bundle {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let g = privim_graph::generators::barabasi_albert(120, 3, &mut rng)
-        .with_uniform_weights(1.0);
-    let model = GnnModel::new(GnnConfig::paper_default(), &mut rng);
-    let artifact = ServeArtifact {
-        model,
-        epsilon: Some(2.0),
-        delta: 1e-4,
-        sigma: 1.5,
-        steps: 80,
-    };
-    let mut buf = Vec::new();
-    bundle::save(&artifact, &g, &mut buf).unwrap();
-    bundle::load(buf.as_slice()).unwrap()
-}
-
 fn reactor_server(seed: u64, cfg: ServeConfig) -> ServerHandle {
-    start(test_bundle(seed), cfg).unwrap()
+    start(common::test_bundle(seed, 120, None).0, cfg).unwrap()
 }
 
 /// A deliberately slow request: an uncached Monte-Carlo spread estimate
 /// at the maximum run count keeps a worker busy for a long stretch.
 fn slow_influence(close: bool) -> Vec<u8> {
-    frame_request(
+    frame(
         "POST",
         "/v1/influence",
+        &[],
         "{\"seeds\": [0, 1], \"runs\": 100000}",
         close,
     )
-}
-
-/// Serialize one request frame (keep-alive by default — no `Connection`
-/// header on HTTP/1.1 means persist).
-fn frame_request(method: &str, path: &str, body: &str, close: bool) -> Vec<u8> {
-    let conn = if close { "Connection: close\r\n" } else { "" };
-    format!(
-        "{method} {path} HTTP/1.1\r\nHost: t\r\n{conn}Content-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .into_bytes()
-}
-
-/// Read exactly one framed response off the stream: returns
-/// `(status, headers, body)`. `carry` holds bytes read past the frame
-/// boundary (pipelined responses coalesce on the wire) — pass the same
-/// buffer across calls on one connection. Panics on malformed framing —
-/// these tests own both ends.
-fn read_framed(stream: &mut TcpStream, carry: &mut Vec<u8>) -> (u16, String, String) {
-    let mut chunk = [0u8; 4096];
-    let head_end = loop {
-        if let Some(p) = carry.windows(4).position(|w| w == b"\r\n\r\n") {
-            break p + 4;
-        }
-        let n = stream.read(&mut chunk).unwrap();
-        assert!(n > 0, "EOF before response head completed");
-        carry.extend_from_slice(&chunk[..n]);
-    };
-    let head = String::from_utf8(carry[..head_end].to_vec()).unwrap();
-    let status: u16 = head.split_ascii_whitespace().nth(1).unwrap().parse().unwrap();
-    let content_length: usize = head
-        .lines()
-        .find_map(|l| l.to_ascii_lowercase().strip_prefix("content-length:").map(str::trim).map(String::from))
-        .unwrap()
-        .parse()
-        .unwrap();
-    while carry.len() < head_end + content_length {
-        let n = stream.read(&mut chunk).unwrap();
-        assert!(n > 0, "EOF mid-body");
-        carry.extend_from_slice(&chunk[..n]);
-    }
-    let body = String::from_utf8(carry[head_end..head_end + content_length].to_vec()).unwrap();
-    carry.drain(..head_end + content_length);
-    (status, head, body)
 }
 
 #[test]
@@ -103,14 +43,15 @@ fn keepalive_connection_serves_many_requests() {
     let mut bodies = Vec::new();
     for i in 0..reuse {
         stream
-            .write_all(&frame_request(
+            .write_all(&frame(
                 "POST",
                 "/v1/embed",
+                &[],
                 &format!("{{\"nodes\": [{i}]}}"),
                 false,
             ))
             .unwrap();
-        let (status, head, body) = read_framed(&mut stream, &mut carry);
+        let Response { status, head, body } = read_response(&mut stream, &mut carry).unwrap();
         assert_eq!(status, 200, "{body}");
         assert!(
             head.contains("Connection: keep-alive"),
@@ -129,9 +70,9 @@ fn keepalive_connection_serves_many_requests() {
 
     // A Connection: close request ends the session after its response.
     stream
-        .write_all(&frame_request("GET", "/healthz", "", true))
+        .write_all(&frame("GET", "/healthz", &[], "", true))
         .unwrap();
-    let (status, head, _) = read_framed(&mut stream, &mut carry);
+    let Response { status, head, .. } = read_response(&mut stream, &mut carry).unwrap();
     assert_eq!(status, 200);
     assert!(head.contains("Connection: close"), "{head}");
     let mut rest = Vec::new();
@@ -151,14 +92,15 @@ fn pipelined_requests_answer_in_order_with_identical_bodies() {
         .map(|i| {
             let mut s = TcpStream::connect(("127.0.0.1", port)).unwrap();
             s.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
-            s.write_all(&frame_request(
+            s.write_all(&frame(
                 "POST",
                 "/v1/embed",
+                &[],
                 &format!("{{\"nodes\": [{}, {}]}}", i, i + 10),
                 true,
             ))
             .unwrap();
-            read_framed(&mut s, &mut Vec::new()).2
+            read_response(&mut s, &mut Vec::new()).unwrap().body
         })
         .collect();
 
@@ -166,12 +108,12 @@ fn pipelined_requests_answer_in_order_with_identical_bodies() {
     // order with byte-identical bodies.
     let mut stream = TcpStream::connect(("127.0.0.1", port)).unwrap();
     stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
-    let mut burst = frame_request("POST", "/v1/embed", "{\"nodes\": [0, 10]}", false);
-    burst.extend_from_slice(&frame_request("POST", "/v1/embed", "{\"nodes\": [1, 11]}", false));
+    let mut burst = frame("POST", "/v1/embed", &[], "{\"nodes\": [0, 10]}", false);
+    burst.extend_from_slice(&frame("POST", "/v1/embed", &[], "{\"nodes\": [1, 11]}", false));
     stream.write_all(&burst).unwrap();
     let mut carry = Vec::new();
-    let (s0, _, b0) = read_framed(&mut stream, &mut carry);
-    let (s1, _, b1) = read_framed(&mut stream, &mut carry);
+    let Response { status: s0, body: b0, .. } = read_response(&mut stream, &mut carry).unwrap();
+    let Response { status: s1, body: b1, .. } = read_response(&mut stream, &mut carry).unwrap();
     assert_eq!((s0, s1), (200, 200));
     assert_eq!(b0, sequential[0], "first pipelined response out of order or diverged");
     assert_eq!(b1, sequential[1], "second pipelined response out of order or diverged");
@@ -197,12 +139,12 @@ fn headers_split_across_arbitrary_write_boundaries_still_parse() {
     // reactor through many partial-parse rounds (the in-memory analog is
     // covered exhaustively in conn.rs unit tests; this pins the real
     // nonblocking-socket path).
-    let raw = frame_request("POST", "/v1/embed", "{\"nodes\": [3]}", true);
+    let raw = frame("POST", "/v1/embed", &[], "{\"nodes\": [3]}", true);
     for chunk in raw.chunks(1) {
         stream.write_all(chunk).unwrap();
         std::thread::sleep(Duration::from_millis(2));
     }
-    let (status, _, body) = read_framed(&mut stream, &mut Vec::new());
+    let Response { status, body, .. } = read_response(&mut stream, &mut Vec::new()).unwrap();
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("scores"), "{body}");
     handle.shutdown();
@@ -233,7 +175,7 @@ fn responses_match_golden_bytes() {
     for (method, path, body, golden) in GOLDEN {
         let mut s = TcpStream::connect(("127.0.0.1", handle.port())).unwrap();
         s.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
-        s.write_all(&frame_request(method, path, body, true)).unwrap();
+        s.write_all(&frame(method, path, &[], body, true)).unwrap();
         let mut got = Vec::new();
         s.read_to_end(&mut got).unwrap();
         assert_eq!(
@@ -269,14 +211,15 @@ fn pipelined_burst_beyond_max_pipeline_is_fully_served() {
         .map(|i| {
             let mut s = TcpStream::connect(("127.0.0.1", port)).unwrap();
             s.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
-            s.write_all(&frame_request(
+            s.write_all(&frame(
                 "POST",
                 "/v1/embed",
+                &[],
                 &format!("{{\"nodes\": [{i}]}}"),
                 true,
             ))
             .unwrap();
-            read_framed(&mut s, &mut Vec::new()).2
+            read_response(&mut s, &mut Vec::new()).unwrap().body
         })
         .collect();
 
@@ -284,9 +227,10 @@ fn pipelined_burst_beyond_max_pipeline_is_fully_served() {
     stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
     let mut burst = Vec::new();
     for i in 0..n {
-        burst.extend_from_slice(&frame_request(
+        burst.extend_from_slice(&frame(
             "POST",
             "/v1/embed",
+            &[],
             &format!("{{\"nodes\": [{i}]}}"),
             false,
         ));
@@ -294,7 +238,7 @@ fn pipelined_burst_beyond_max_pipeline_is_fully_served() {
     stream.write_all(&burst).unwrap();
     let mut carry = Vec::new();
     for (i, expect) in sequential.iter().enumerate() {
-        let (status, _, body) = read_framed(&mut stream, &mut carry);
+        let Response { status, body, .. } = read_response(&mut stream, &mut carry).unwrap();
         assert_eq!(status, 200, "request {i} of the over-cap burst: {body}");
         assert_eq!(&body, expect, "request {i} answered out of order or diverged");
     }
@@ -308,8 +252,8 @@ fn half_close_after_complete_requests_still_answers_them() {
     let port = handle.port();
     let mut stream = TcpStream::connect(("127.0.0.1", port)).unwrap();
     stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
-    let mut burst = frame_request("POST", "/v1/embed", "{\"nodes\": [5]}", false);
-    burst.extend_from_slice(&frame_request("GET", "/healthz", "", false));
+    let mut burst = frame("POST", "/v1/embed", &[], "{\"nodes\": [5]}", false);
+    burst.extend_from_slice(&frame("GET", "/healthz", &[], "", false));
     stream.write_all(&burst).unwrap();
     stream.shutdown(std::net::Shutdown::Write).unwrap();
 
@@ -319,10 +263,10 @@ fn half_close_after_complete_requests_still_answers_them() {
     // must hold is that both requests are answered and the connection
     // then closes.
     let mut carry = Vec::new();
-    let (s0, _, b0) = read_framed(&mut stream, &mut carry);
+    let Response { status: s0, body: b0, .. } = read_response(&mut stream, &mut carry).unwrap();
     assert_eq!(s0, 200, "half-closed request must still be served: {b0}");
     assert!(b0.contains("scores"), "{b0}");
-    let (s1, _, b1) = read_framed(&mut stream, &mut carry);
+    let Response { status: s1, body: b1, .. } = read_response(&mut stream, &mut carry).unwrap();
     assert_eq!(s1, 200, "{b1}");
     let mut rest = Vec::new();
     stream.read_to_end(&mut rest).unwrap();
@@ -361,8 +305,8 @@ fn half_sent_request_is_reaped_by_the_header_timeout() {
     // A well-behaved client on the same server is unaffected.
     let mut ok = TcpStream::connect(("127.0.0.1", port)).unwrap();
     ok.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
-    ok.write_all(&frame_request("GET", "/healthz", "", true)).unwrap();
-    let (status, _, _) = read_framed(&mut ok, &mut Vec::new());
+    ok.write_all(&frame("GET", "/healthz", &[], "", true)).unwrap();
+    let Response { status, .. } = read_response(&mut ok, &mut Vec::new()).unwrap();
     assert_eq!(status, 200);
     handle.shutdown();
 }
@@ -383,8 +327,8 @@ fn idle_keepalive_connection_is_reaped_by_the_idle_timeout() {
 
     // Complete one exchange, then idle: the server must reap the
     // connection once the idle timeout lapses.
-    stream.write_all(&frame_request("GET", "/healthz", "", false)).unwrap();
-    let (status, head, _) = read_framed(&mut stream, &mut Vec::new());
+    stream.write_all(&frame("GET", "/healthz", &[], "", false)).unwrap();
+    let Response { status, head, .. } = read_response(&mut stream, &mut Vec::new()).unwrap();
     assert_eq!(status, 200);
     assert!(head.contains("Connection: keep-alive"), "{head}");
     let mut rest = Vec::new();
@@ -418,9 +362,10 @@ fn pipelined_burst_over_queue_cap_sheds_with_503() {
     let n = 8;
     let mut burst = slow_influence(false);
     for i in 1..n {
-        burst.extend_from_slice(&frame_request(
+        burst.extend_from_slice(&frame(
             "POST",
             "/v1/embed",
+            &[],
             &format!("{{\"nodes\": [{i}]}}"),
             false,
         ));
@@ -431,7 +376,7 @@ fn pipelined_burst_over_queue_cap_sheds_with_503() {
     let mut carry = Vec::new();
     let mut statuses = Vec::new();
     for _ in 0..n {
-        statuses.push(read_framed(&mut stream, &mut carry).0);
+        statuses.push(read_response(&mut stream, &mut carry).unwrap().status);
     }
     assert_eq!(statuses[0], 200, "the first request was queued, not shed");
     assert!(
@@ -469,7 +414,7 @@ fn drain_during_keepalive_finishes_in_flight_then_closes() {
     // Establish the keep-alive session with one complete exchange.
     stream.write_all(&slow_influence(false)).unwrap();
     let mut carry = Vec::new();
-    let (status, head, first_body) = read_framed(&mut stream, &mut carry);
+    let Response { status, head, body: first_body } = read_response(&mut stream, &mut carry).unwrap();
     assert_eq!(status, 200);
     assert!(head.contains("Connection: keep-alive"), "{head}");
 
@@ -481,7 +426,7 @@ fn drain_during_keepalive_finishes_in_flight_then_closes() {
     // (well inside the time the worker spends computing it).
     std::thread::sleep(Duration::from_millis(60));
     let shutdown = std::thread::spawn(move || handle.shutdown());
-    let (status, head, body) = read_framed(&mut stream, &mut carry);
+    let Response { status, head, body } = read_response(&mut stream, &mut carry).unwrap();
     assert_eq!(status, 200, "in-flight keep-alive request must complete: {body}");
     assert!(
         head.contains("Connection: close"),
@@ -511,13 +456,13 @@ fn request_queued_past_its_deadline_is_shed() {
     let mut stream = TcpStream::connect(("127.0.0.1", handle.port())).unwrap();
     stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
     let mut burst = slow_influence(false);
-    burst.extend_from_slice(&frame_request("GET", "/healthz", "", false));
+    burst.extend_from_slice(&frame("GET", "/healthz", &[], "", false));
     stream.write_all(&burst).unwrap();
 
     let mut carry = Vec::new();
-    let (s0, _, b0) = read_framed(&mut stream, &mut carry);
+    let Response { status: s0, body: b0, .. } = read_response(&mut stream, &mut carry).unwrap();
     assert_eq!(s0, 200, "the slow request was popped in time and served: {b0}");
-    let (s1, head, b1) = read_framed(&mut stream, &mut carry);
+    let Response { status: s1, head, body: b1 } = read_response(&mut stream, &mut carry).unwrap();
     assert_eq!(s1, 503, "{b1}");
     assert!(b1.contains("shed: deadline exceeded while queued"), "{b1}");
     assert!(head.contains("Connection: close"), "a deadline shed closes: {head}");

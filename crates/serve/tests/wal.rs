@@ -4,21 +4,21 @@
 //! stops without a clean re-pack must come back with per-tenant spend
 //! >= everything it acknowledged over TCP.
 
+mod common;
+
 use privim::ServeArtifact;
 use privim_gnn::{GnnConfig, GnnModel};
 use privim_rt::fault::{FaultPlan, FaultPoint};
 use privim_rt::json::Value;
 use privim_rt::{fault, ChaCha8Rng, Rng, SeedableRng};
+use privim_serve::client::exchange;
 use privim_serve::metrics::parse_counter;
 use privim_serve::{
     bundle, start, wal, DurabilityConfig, FsyncPolicy, LedgerConfig, LedgerState, ServeConfig,
     WalWriter,
 };
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::path::PathBuf;
-use std::time::Duration;
 
 const IO_POINTS: [FaultPoint; 4] = [
     FaultPoint::IoShortWrite,
@@ -44,37 +44,9 @@ fn generous_config() -> LedgerConfig {
     }
 }
 
-/// A loaded metered bundle over a small graph (untrained model: serving
-/// durability does not depend on weight quality).
-fn metered_bundle(seed: u64) -> bundle::Bundle {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let g = privim_graph::generators::barabasi_albert(60, 3, &mut rng).with_uniform_weights(1.0);
-    let artifact = ServeArtifact {
-        model: GnnModel::new(GnnConfig::paper_default(), &mut rng),
-        epsilon: Some(2.0),
-        delta: 1e-4,
-        sigma: 1.5,
-        steps: 80,
-    };
-    let mut buf = Vec::new();
-    bundle::save_with_ledger(&artifact, &g, &LedgerState::new(generous_config()), &mut buf)
-        .unwrap();
-    bundle::load(buf.as_slice()).unwrap()
-}
-
 fn post_metered(port: u16, tenant: &str) -> u16 {
-    let mut stream = TcpStream::connect(("127.0.0.1", port)).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
-    let body = "{\"nodes\":[1,2,3]}";
-    let raw = format!(
-        "POST /v1/embed HTTP/1.1\r\nHost: t\r\nConnection: close\r\nX-Privim-Tenant: {tenant}\r\n\
-         Content-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(raw.as_bytes()).unwrap();
-    let mut text = String::new();
-    stream.read_to_string(&mut text).unwrap();
-    text.split_ascii_whitespace().nth(1).unwrap_or("0").parse().unwrap_or(0)
+    let tenant_hdr = [("X-Privim-Tenant", tenant)];
+    exchange(port, "POST", "/v1/embed", &tenant_hdr, "{\"nodes\":[1,2,3]}").unwrap().status
 }
 
 /// For each I/O fault point: append through a writer with that fault
@@ -272,7 +244,7 @@ fn env_plan_io_faults_recovery() {
 #[test]
 fn server_recovers_acked_charges_after_abrupt_stop() {
     let wal_path = tmp("server-recover");
-    let b = metered_bundle(40);
+    let b = common::test_bundle(40, 60, Some(generous_config())).0;
     let original_state = b.ledger.clone().unwrap();
     let cfg = ServeConfig {
         workers: 2,
@@ -313,7 +285,7 @@ fn server_recovers_acked_charges_after_abrupt_stop() {
     }
     // A restarted server on the recovered state keeps charging from
     // there, and journals into the same (truncation-repaired) file.
-    let mut b2 = metered_bundle(40);
+    let mut b2 = common::test_bundle(40, 60, Some(generous_config())).0;
     b2.ledger = Some(recovered);
     let cfg2 = ServeConfig {
         workers: 2,
@@ -345,7 +317,7 @@ fn server_recovers_acked_charges_after_abrupt_stop() {
 fn compaction_snapshots_bundle_and_truncates_journal() {
     let wal_path = tmp("compact.wal");
     let bundle_path = tmp("compact-bundle.json");
-    let b = metered_bundle(41);
+    let b = common::test_bundle(41, 60, Some(generous_config())).0;
     let cfg = ServeConfig {
         workers: 2,
         durability: Some(DurabilityConfig {
@@ -424,7 +396,7 @@ fn durability_is_inert_where_it_has_no_ledger() {
 #[test]
 fn two_hundreds_imply_durable_appends() {
     let wal_path = tmp("ack-order");
-    let b = metered_bundle(42);
+    let b = common::test_bundle(42, 60, Some(generous_config())).0;
     let cfg = ServeConfig {
         workers: 4,
         durability: Some(DurabilityConfig {

@@ -71,6 +71,12 @@ echo "== bench smoke (kernel harness + bit-identity assertions, tiny sizes)"
 cargo run -q --release --offline -p privim-bench --bin bench_kernels -- --smoke
 PRIVIM_SIMD=scalar cargo run -q --release --offline -p privim-bench --bin bench_kernels -- --smoke
 
+echo "== benchmark harness tests (perfbench builds against the serve API)"
+# perfbench is a workspace of its own, so the workspace build above never
+# compiles it; building and testing it here makes a privim-serve API
+# change that breaks the benchmark fail CI.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== fault-injection matrix (divergence recovery under seeded faults)"
 for seed in 1 2; do
     echo "-- PRIVIM_FAULT_SEED=$seed"
@@ -79,17 +85,17 @@ done
 
 echo "== serve smoke (pack a tiny checkpoint bundle, hit every endpoint, drain)"
 # `pack --fast` trains a CI-sized model through the real pipeline and
-# writes the versioned+checksummed bundle; bench_serve --smoke self-hosts
-# the server on an ephemeral port, sends one request per endpoint with
-# response assertions, checks /metrics accounting, and asserts the
-# shutdown drain completes cleanly.
+# writes the versioned+checksummed bundle; smoke_serve self-hosts the
+# server on an ephemeral port, sends one request per endpoint with
+# response assertions, checks keep-alive reuse and /metrics accounting,
+# and asserts the shutdown drain completes cleanly.
 SERVE_BUNDLE="$(mktemp /tmp/privim-serve-ci-XXXXXX.json)"
 CHAOS_BUNDLE="$(mktemp /tmp/privim-chaos-ci-XXXXXX.json)"
 trap 'rm -f "$SERVE_BUNDLE" "$CHAOS_BUNDLE" "$CHAOS_BUNDLE.wal"' EXIT
 cargo run -q --release --offline -p privim-serve -- pack \
     --out "$SERVE_BUNDLE" --nodes 120 --k 10 --fast
-cargo run -q --release --offline -p privim-bench --bin bench_serve -- \
-    --smoke --bundle "$SERVE_BUNDLE"
+cargo run -q --release --offline -p privim-bench --bin smoke_serve -- \
+    --bundle "$SERVE_BUNDLE"
 
 echo "== slowloris + idle-connection gate (reactor reaps abusive connections)"
 # slowloris_serve spawns a real privim-serve process with short header and

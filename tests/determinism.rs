@@ -505,8 +505,7 @@ fn full_trainer_step_bit_identical_across_simd_backends() {
 #[test]
 fn served_embed_response_byte_identical_across_simd_backends() {
     let _guard = THREADS_LOCK.lock().unwrap();
-    use privim_serve::{bundle, start, ServeConfig};
-    use std::io::{Read, Write};
+    use privim_serve::{bundle, client, start, ServeConfig};
 
     let mut rng = ChaCha8Rng::seed_from_u64(202);
     let g = generators::barabasi_albert(120, 3, &mut rng).with_uniform_weights(1.0);
@@ -524,21 +523,12 @@ fn served_embed_response_byte_identical_across_simd_backends() {
         simd::set_backend(Some(choice));
         let b = bundle::load(packed.as_slice()).unwrap();
         let handle = start(b, ServeConfig::default()).unwrap();
-        let port = handle.port();
-        let mut stream = std::net::TcpStream::connect(("127.0.0.1", port)).unwrap();
-        let body = "{\"nodes\": [0, 7, 63, 119]}";
-        let raw = format!(
-            "POST /v1/embed HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        );
-        stream.write_all(raw.as_bytes()).unwrap();
-        let mut text = String::new();
-        stream.read_to_string(&mut text).unwrap();
+        let r = client::exchange(handle.port(), "POST", "/v1/embed", &[], "{\"nodes\": [0, 7, 63, 119]}")
+            .unwrap();
         handle.shutdown();
         simd::set_backend(None);
-        let (_, response_body) = text.split_once("\r\n\r\n").unwrap();
-        assert!(response_body.contains("scores"), "unexpected response: {text}");
-        response_body.to_string()
+        assert!(r.status == 200 && r.body.contains("scores"), "unexpected response: {r:?}");
+        r.body
     };
     let scalar = body_under(simd::Choice::Scalar);
     let auto = body_under(simd::Choice::Auto);
