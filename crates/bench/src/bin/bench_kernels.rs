@@ -1,7 +1,9 @@
 //! Kernel micro-benchmarks: the first point of the perf trajectory.
 //!
 //! Times the tensor primitives the DP-SGD hot path bottoms out in —
-//! `Matrix::matmul`, `Matrix::transpose`, `Csr::spmm`, `Csr::spmm_transpose`,
+//! `Matrix::matmul` (large and at per-sample paper shapes, including the
+//! matrix–vector path), `Matrix::transpose_matmul`, `Matrix::transpose`,
+//! `Csr::spmm`, `Csr::spmm_transpose`,
 //! the `simd` reductions (`dot`, `sum`) and the DP-SGD clip loop — in
 //! several configurations per kernel:
 //!
@@ -265,7 +267,7 @@ fn run_case(
         note,
     };
     println!(
-        "{:<24} {:>11} {:>11} {:>11} {:>11}   x{:.2} simd, x{:.2} par4",
+        "{:<30} {:>11} {:>11} {:>11} {:>11}   x{:.2} simd, x{:.2} par4",
         format!("{name} {}", result.shape),
         result.naive_secs.map_or_else(|| "-".into(), fmt_secs),
         result.scalar_secs().map_or_else(|| "-".into(), fmt_secs),
@@ -326,7 +328,7 @@ fn run_quant_case(iters: u64, a: &Matrix, b: &Matrix) -> Value {
         .fold(f64::INFINITY, f64::min);
 
     println!(
-        "{:<24} {:>11} {:>11} {:>23}   x{:.2} int8 vs dense, rel_err {:.2e}",
+        "{:<30} {:>11} {:>11} {:>23}   x{:.2} int8 vs dense, rel_err {:.2e}",
         format!("quant_matmul {m}x{k}x{n}"),
         "-",
         fmt_secs(dense_secs),
@@ -409,9 +411,17 @@ fn main() {
     let xv = random_matrix(1, rv, &mut rng);
     let yv = random_matrix(1, rv, &mut rng);
     let grads: Vec<Matrix> = (0..2).map(|_| random_matrix(cm, cm, &mut rng)).collect();
+    // Paper shapes (train-lastfm subgraphs: ~38 nodes, ~75 arcs, 32 hidden),
+    // identical in smoke and full runs; tiny, so timed over many iterations.
+    let small_iters = if smoke { 2 } else { 20_000 };
+    let act = random_matrix(38, 32, &mut rng).map(|x| x.max(0.0));
+    let w32 = random_matrix(32, 32, &mut rng);
+    let att = random_matrix(113, 32, &mut rng);
+    let a_dst = random_matrix(32, 1, &mut rng);
+    let dc38 = random_matrix(38, 32, &mut rng);
 
     println!(
-        "{:<24} {:>11} {:>11} {:>11} {:>11}",
+        "{:<30} {:>11} {:>11} {:>11} {:>11}",
         "kernel", "naive", "scalar", "serial", "par4"
     );
     let results = vec![
@@ -422,6 +432,30 @@ fn main() {
             Some(&|| naive_matmul(&a, &b)),
             &|| a.matmul(&b),
             None,
+        ),
+        run_case(
+            "matmul",
+            "38x32x32".to_string(),
+            small_iters,
+            Some(&|| naive_matmul(&act, &w32)),
+            &|| act.matmul(&w32),
+            Some("paper shape: one GRAT layer's h·W on relu'd activations (about half zeros)"),
+        ),
+        run_case(
+            "matvec",
+            "113x32x1".to_string(),
+            small_iters,
+            Some(&|| naive_matmul(&att, &a_dst)),
+            &|| att.matmul(&a_dst),
+            Some("paper shape: a GRAT attention score (arcs x 32)·(32 x 1), one accumulator per row"),
+        ),
+        run_case(
+            "transpose_matmul",
+            "32x38·38x32".to_string(),
+            small_iters,
+            Some(&|| naive_matmul(&naive_transpose(&act), &dc38)),
+            &|| act.transpose_matmul(&dc38),
+            Some("paper shape: MatMul backward dB = Aᵀ·dC without building Aᵀ; naive = transpose, then the seed matmul"),
         ),
         run_case(
             "transpose",

@@ -222,8 +222,9 @@ fn sample_gradient(
     item: &TrainItem,
     cfg: &DpSgdConfig,
 ) -> (Vec<Matrix>, f64, bool) {
-    // Scratch tape + pooled matrix buffers: after the first sample on each
-    // pool worker the whole forward/backward runs allocation-free.
+    // Scratch tape + pooled matrix buffers: once warm, the forward/backward
+    // draws every buffer from this thread's pool (DESIGN.md §10.3). The
+    // returned gradients leave with the caller.
     Tape::with_scratch(|tape| {
         let (probs, pvars) = model.forward(tape, &item.gt, &item.x);
         let loss = im_loss(tape, &item.gt, probs, &cfg.loss);
@@ -521,6 +522,31 @@ mod tests {
             tail_average: false,
             weight_decay: 0.0,
             ..DpSgdConfig::paper_default(sigma, occurrence_bound)
+        }
+    }
+
+    #[test]
+    fn warmed_sample_gradient_allocates_nothing() {
+        // Paper shape (3 layers × 32 hidden): the tape's live set of node
+        // values plus gradients must fit in this thread's pool.
+        let items = make_items(5, 6);
+        let cfg = base_cfg(1.0, 8);
+        for kind in GnnKind::ALL {
+            let model = GnnModel::new(
+                GnnConfig::paper_default_with(kind),
+                &mut ChaCha8Rng::seed_from_u64(4),
+            );
+            for _ in 0..3 {
+                for item in &items {
+                    drop(sample_gradient(&model, item, &cfg));
+                }
+            }
+            let before = privim_tensor::pool::fresh_allocations();
+            for item in &items {
+                drop(sample_gradient(&model, item, &cfg));
+            }
+            let fresh = privim_tensor::pool::fresh_allocations() - before;
+            assert_eq!(fresh, 0, "{kind:?}: warmed samples allocated");
         }
     }
 

@@ -25,11 +25,12 @@ const TB: usize = 32;
 /// Sized for PrivIM's workload (≤ a few hundred thousand rows × 32
 /// columns). Backing buffers come from the thread-local [`pool`] (64-byte
 /// aligned, so the [`simd`] backends never take a split load), and the
-/// heavy kernels (`matmul`, `transpose`) are cache-blocked and
-/// row-parallel on `privim_rt::par` — each output row is produced by
-/// exactly one worker with a chunk-independent accumulation order, so
-/// results are bit-identical at any thread count *and* any `PRIVIM_SIMD`
-/// backend (see the determinism contract in [`simd`]).
+/// heavy kernels (`matmul`, `transpose_matmul`, `transpose`) are
+/// cache-blocked and row-parallel on `privim_rt::par` — each output row
+/// is produced by exactly one worker with a chunk-independent
+/// accumulation order, so results are bit-identical at any thread count
+/// *and* any `PRIVIM_SIMD` backend (see the determinism contract in
+/// [`simd`]).
 #[derive(PartialEq)]
 pub struct Matrix {
     rows: usize,
@@ -219,9 +220,12 @@ impl Matrix {
     ///
     /// Cache-blocked (`KB × JB` tiles over the rhs) and row-parallel: big
     /// products split their output rows into one contiguous chunk per pool
-    /// worker. Every output element accumulates its `k`-terms in the same
-    /// fixed order (tile-major, ascending) no matter how rows are
-    /// partitioned, so the result is bit-identical at any thread count.
+    /// worker. Every output element accumulates its `k`-terms in ascending
+    /// order, one IEEE multiply then one add per nonzero `self[i][k]`, no
+    /// matter how rows are partitioned or which [`simd`] backend runs — so
+    /// the result is bit-identical at any thread count. The backend is
+    /// resolved once per call; a `rhs` with one column takes a
+    /// matrix–vector path with one scalar accumulator per output row.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, rhs.rows,
@@ -233,20 +237,42 @@ impl Matrix {
         if m == 0 || k == 0 || n == 0 {
             return out;
         }
+        let backend = simd::active();
         if m * k * n < MIN_PAR_WORK || privim_rt::par::num_threads() <= 1 {
-            self.matmul_rows(rhs, 0, &mut out.data);
+            self.matmul_rows(rhs, backend, 0, &mut out.data);
         } else {
             privim_rt::par::for_each_row_chunk(&mut out.data, n, |r0, chunk| {
-                self.matmul_rows(rhs, r0, chunk);
+                self.matmul_rows(rhs, backend, r0, chunk);
             });
         }
         out
     }
 
-    /// Tiled ikj kernel for output rows `r0 .. r0 + out_chunk.len()/n`.
-    fn matmul_rows(&self, rhs: &Matrix, r0: usize, out_chunk: &mut [f64]) {
+    /// Output rows `r0 .. r0 + out_chunk.len()/n` of `self × rhs`: a tiled
+    /// ikj kernel, or a dot product per row when `rhs` is a column.
+    fn matmul_rows(
+        &self,
+        rhs: &Matrix,
+        backend: simd::Backend,
+        r0: usize,
+        out_chunk: &mut [f64],
+    ) {
         let k = self.cols;
         let n = rhs.cols;
+        if n == 1 {
+            // k-ascending with the zero skip: the bits of a length-1 axpy
+            for (i, o) in out_chunk.iter_mut().enumerate() {
+                let mut acc = 0.0;
+                for (&aik, &bk) in self.row(r0 + i).iter().zip(rhs.data.iter()) {
+                    // privim-lint: allow(float-eq, reason = "exact-zero sparsity skip: 0.0 * bk contributes exactly nothing, so skipping only IEEE zeros is lossless")
+                    if aik != 0.0 {
+                        acc += aik * bk;
+                    }
+                }
+                *o = acc;
+            }
+            return;
+        }
         let rows = out_chunk.len() / n;
         for kk in (0..k).step_by(KB) {
             let kend = (kk + KB).min(k);
@@ -254,18 +280,79 @@ impl Matrix {
                 let jend = (jj + JB).min(n);
                 for i in 0..rows {
                     let arow = &self.data[(r0 + i) * k..(r0 + i + 1) * k];
-                    let orow = &mut out_chunk[i * n + jj..i * n + jend];
-                    for (kx, &aik) in arow[kk..kend].iter().enumerate() {
-                        // privim-lint: allow(float-eq, reason = "exact-zero sparsity skip: 0.0 * bkj contributes exactly nothing, so skipping only IEEE zeros is lossless")
-                        if aik == 0.0 {
-                            continue;
-                        }
-                        let bbase = (kk + kx) * n;
-                        // elementwise axpy: each output element keeps its
-                        // k-ascending accumulation order on every backend
-                        simd::axpy(orow, aik, &rhs.data[bbase + jj..bbase + jend]);
-                    }
+                    simd::axpy_rows(
+                        backend,
+                        &mut out_chunk[i * n + jj..i * n + jend],
+                        &arow[kk..kend],
+                        1,
+                        &rhs.data[kk * n + jj..],
+                        n,
+                    );
                 }
+            }
+        }
+    }
+
+    /// `selfᵀ × rhs` without materialising `selfᵀ` (the autodiff tape's
+    /// `dB = Aᵀ·dC`). Panics unless the row counts match.
+    ///
+    /// Output row `i` accumulates `self[r][i] · rhs[r]` over the shared
+    /// rows `r` in ascending order (zero `self[r][i]` skipped), so each
+    /// element sees exactly the term sequence of
+    /// `self.transpose().matmul(rhs)`; the shared rows are swept in `KB`
+    /// panels so each panel of `rhs` stays cache-hot. Large products split
+    /// the output rows across pool workers.
+    pub fn transpose_matmul(&self, rhs: &Matrix) -> Matrix {
+        assert_eq!(
+            self.rows, rhs.rows,
+            "transpose_matmul ({}x{})ᵀ × {}x{}",
+            self.rows, self.cols, rhs.rows, rhs.cols
+        );
+        let (m, k, n) = (self.rows, self.cols, rhs.cols);
+        let mut out = Matrix::zeros(k, n);
+        if m == 0 || k == 0 || n == 0 {
+            return out;
+        }
+        let backend = simd::active();
+        if m * k * n < MIN_PAR_WORK || privim_rt::par::num_threads() <= 1 {
+            self.transpose_matmul_rows(rhs, backend, 0, &mut out.data);
+        } else {
+            privim_rt::par::for_each_row_chunk(&mut out.data, n, |c0, chunk| {
+                self.transpose_matmul_rows(rhs, backend, c0, chunk);
+            });
+        }
+        out
+    }
+
+    /// Output rows (= columns of `self`) `c0 .. c0 + out_chunk.len()/n` of
+    /// `selfᵀ × rhs`.
+    fn transpose_matmul_rows(
+        &self,
+        rhs: &Matrix,
+        backend: simd::Backend,
+        c0: usize,
+        out_chunk: &mut [f64],
+    ) {
+        let (k, n) = (self.cols, rhs.cols);
+        let width = out_chunk.len() / n;
+        if n == 1 {
+            // One column (an attention-vector gradient): shared rows
+            // outermost and a select per output, so the loop vectorizes; a
+            // zero coefficient leaves the output exactly as the skip does.
+            for (r, &br) in rhs.data.iter().enumerate() {
+                for (o, &a) in out_chunk.iter_mut().zip(&self.row(r)[c0..c0 + width]) {
+                    // privim-lint: allow(float-eq, reason = "exact-zero sparsity skip: 0.0 * br contributes exactly nothing, so skipping only IEEE zeros is lossless")
+                    *o = if a != 0.0 { *o + a * br } else { *o };
+                }
+            }
+            return;
+        }
+        for rr in (0..self.rows).step_by(KB) {
+            let rend = (rr + KB).min(self.rows);
+            for (i, orow) in out_chunk.chunks_exact_mut(n).enumerate() {
+                // column c0 + i of self over the shared rows rr .. rend
+                let col = &self.data[rr * k + c0 + i..(rend - 1) * k + c0 + i + 1];
+                simd::axpy_rows(backend, orow, col, k, &rhs.data[rr * n..], n);
             }
         }
     }
@@ -525,6 +612,42 @@ mod tests {
             let b = test_matrix(k, n, 2);
             assert_eq!(a.matmul(&b), naive_matmul(&a, &b), "{m}x{k}x{n}");
         }
+    }
+
+    /// Fractional entries (so the summation order shows in the bits) with
+    /// every third one an exact zero.
+    fn rounding_matrix(rows: usize, cols: usize, salt: usize) -> Matrix {
+        let mut m = test_matrix(rows, cols, salt).map(|x| x / 7.0 + 0.1);
+        for x in m.data_mut().iter_mut().step_by(3) {
+            *x = 0.0;
+        }
+        m
+    }
+
+    #[test]
+    fn matvec_path_bitwise_matches_naive() {
+        for (m, k) in [(1, 1), (113, 32), (40, 130), (700, 100)] {
+            let a = rounding_matrix(m, k, 4);
+            let b = rounding_matrix(k, 1, 5);
+            assert_eq!(a.matmul(&b), naive_matmul(&a, &b), "{m}x{k}x1");
+        }
+    }
+
+    #[test]
+    fn transpose_matmul_bitwise_matches_transpose_then_matmul() {
+        // includes the 32×1 attention-vector gradient and a product big
+        // enough for the parallel path
+        for (m, k, n) in [(1, 1, 1), (38, 32, 32), (75, 32, 1), (9, 5, 33), (600, 70, 40)] {
+            let a = rounding_matrix(m, k, 6);
+            let b = rounding_matrix(m, n, 7);
+            assert_eq!(a.transpose_matmul(&b), a.transpose().matmul(&b), "{m}x{k}x{n}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "transpose_matmul")]
+    fn transpose_matmul_shape_mismatch_panics() {
+        let _ = Matrix::zeros(2, 3).transpose_matmul(&Matrix::zeros(3, 2));
     }
 
     #[test]

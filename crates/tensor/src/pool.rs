@@ -27,7 +27,7 @@
 //! [`Matrix`]: crate::Matrix
 
 use std::alloc::{alloc, dealloc, Layout};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::ops::{Deref, DerefMut};
 use std::ptr::NonNull;
 
@@ -38,8 +38,13 @@ pub const ALIGN: usize = 64;
 /// keeps a one-off giant experiment matrix from pinning memory per thread.
 const MAX_POOLED_LEN: usize = 1 << 20;
 
-/// At most this many buffers are retained per thread.
-const MAX_POOLED_BUFFERS: usize = 64;
+/// At most this many buffers are retained per thread. A per-sample tape
+/// keeps every node value alive until the next sample resets it, so the
+/// pool must hold that live set plus the gradients and temporaries of one
+/// backward pass: a warmed paper-shape GRAT sample (3 layers × 32 hidden,
+/// 63 tape nodes) circulates about 125 buffers. Twice that leaves
+/// headroom for deeper models; `MAX_POOLED_TOTAL` still bounds the bytes.
+const MAX_POOLED_BUFFERS: usize = 256;
 
 /// Retained capacity cap per thread (in `f64`s; 4 M ≈ 32 MB).
 const MAX_POOLED_TOTAL: usize = 4 << 20;
@@ -81,6 +86,7 @@ impl AlignedBuf {
         if cap == 0 {
             return AlignedBuf::new();
         }
+        let _ = FRESH.try_with(|n| n.set(n.get() + 1));
         let layout = layout_for(cap);
         // privim-lint: allow(unsafe, reason = "layout has non-zero size (cap > 0 checked above) and the null return is handled, which is the entire alloc contract")
         let raw = unsafe { alloc(layout) } as *mut f64;
@@ -253,6 +259,8 @@ struct BufferPool {
 
 thread_local! {
     static POOL: RefCell<BufferPool> = RefCell::new(BufferPool::default());
+    /// Fresh allocations on this thread: pool misses plus buffer growth.
+    static FRESH: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Take a cleared buffer with `capacity >= len` (freshly allocated if the
@@ -302,6 +310,13 @@ pub fn pooled_buffers() -> usize {
         .unwrap_or(0)
 }
 
+/// Aligned allocations this thread has made so far: every [`acquire`]
+/// the pool could not serve and every buffer growth. A deterministic cost
+/// counter — the difference across a warmed loop is its allocation count.
+pub fn fresh_allocations() -> u64 {
+    FRESH.try_with(Cell::get).unwrap_or(0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,6 +346,21 @@ mod tests {
         let big = acquire(MAX_POOLED_LEN / 2);
         assert!(big.capacity() >= MAX_POOLED_LEN / 2);
         assert_eq!(pooled_buffers(), 1, "small buffer should still be pooled");
+    }
+
+    #[test]
+    fn fresh_allocations_count_misses_and_growth_not_reuse() {
+        while pooled_buffers() > 0 {
+            drop(acquire(0));
+        }
+        let before = fresh_allocations();
+        let buf = acquire(100);
+        assert_eq!(fresh_allocations(), before + 1, "an empty pool misses");
+        release(buf);
+        let mut again = acquire(50);
+        assert_eq!(fresh_allocations(), before + 1, "a pooled buffer is reused");
+        again.resize(200, 0.0);
+        assert_eq!(fresh_allocations(), before + 2, "growth reallocates");
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //! [`set_backend`] for in-process tests). The contract that makes the
 //! selection *invisible to results*:
 //!
-//! * **Elementwise kernels** ([`axpy`], [`add_assign`], [`scale`]) compute
-//!   each output element from exactly the operations the scalar loop
-//!   performs (`y[i] + a * x[i]` — separate IEEE-754 multiply and add,
-//!   never a fused multiply-add), so lanes only change *which elements go
-//!   together through the ALU*, not any element's value.
+//! * **Elementwise kernels** ([`axpy`], [`axpy_rows`], [`add_assign`],
+//!   [`scale`]) compute each output element from exactly the operations
+//!   the scalar loop performs (`y[i] + a * x[i]` — separate IEEE-754
+//!   multiply and add, never a fused multiply-add), so lanes only change
+//!   *which elements go together through the ALU*, not any element's
+//!   value.
 //! * **Reductions** ([`sum`], [`dot`], [`sumsq`]) use **fixed-width
 //!   virtual lane accumulators**: 4 × `f64` lanes where lane `j`
 //!   accumulates elements `j, j+4, j+8, …` in ascending order, a fixed
@@ -241,6 +242,7 @@ fn axpy_scalar(y: &mut [f64], a: f64, x: &[f64]) {
 }
 
 #[cfg(target_arch = "x86_64")]
+#[inline]
 #[target_feature(enable = "avx2")]
 // privim-lint: allow(unsafe, reason = "target_feature fn: callers must (and per unsafe-audit, do) runtime-detect avx2; all pointer arithmetic stays below the slice lengths asserted equal by every caller")
 unsafe fn axpy_avx2(y: &mut [f64], a: f64, x: &[f64]) {
@@ -305,6 +307,98 @@ unsafe fn axpy_neon(y: &mut [f64], a: f64, x: &[f64]) {
     }
     for j in n2..n {
         y[j] += a * x[j];
+    }
+}
+
+// ---------------------------------------------------------------------
+// axpy_rows: one output row of a matrix product under one dispatch
+// ---------------------------------------------------------------------
+
+/// `y += c_t · x[t·x_stride ..][..y.len()]` over the coefficients
+/// `c_t = c[t·c_step]`, `t` ascending, skipping exact-zero `c_t`: one
+/// output row of a matrix product. `c_step = 1` walks a row of `A` (for
+/// `A·B`); `c_step = A.cols` walks a column (for `Aᵀ·B`). Each element of
+/// `y` receives exactly the mul-then-add sequence of one [`axpy`] per
+/// nonzero `c_t`; the caller resolves `backend` once per product with
+/// [`active`]. Panics if an `x` window runs past the end of `x`.
+///
+/// Only AVX2 has its own row kernel. SSE2 and NEON are the baselines of
+/// their architectures, so the portable loop already compiles to 2-wide
+/// vector code there; on x86-64 it measured faster than a loop of
+/// [`axpy`]'s SSE2 kernel.
+pub fn axpy_rows(
+    backend: Backend,
+    y: &mut [f64],
+    c: &[f64],
+    c_step: usize,
+    x: &[f64],
+    x_stride: usize,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if backend == Backend::Avx2 && is_x86_feature_detected!("avx2") {
+        // privim-lint: allow(unsafe, reason = "dispatch guard re-checks is_x86_feature_detected! on this exact path, so the target_feature contract holds; every x window is a bounds-checked subslice as long as y")
+        return unsafe { axpy_rows_avx2(y, c, c_step, x, x_stride) };
+    }
+    let _ = backend;
+    axpy_rows_scalar(y, c, c_step, x, x_stride)
+}
+
+/// The `x` window [`axpy_rows`] pairs with `c_t` (bounds-checked).
+#[inline(always)]
+fn row_window(x: &[f64], t: usize, stride: usize, len: usize) -> &[f64] {
+    &x[t * stride..t * stride + len]
+}
+
+fn axpy_rows_scalar(y: &mut [f64], c: &[f64], c_step: usize, x: &[f64], x_stride: usize) {
+    for (t, &ct) in c.iter().step_by(c_step).enumerate() {
+        // privim-lint: allow(float-eq, reason = "exact-zero sparsity skip: 0.0 * x contributes exactly nothing, so skipping only IEEE zeros is lossless")
+        if ct != 0.0 {
+            axpy_scalar(y, ct, row_window(x, t, x_stride, y.len()));
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+// privim-lint: allow(unsafe, reason = "target_feature fn reached only through axpy_rows's avx2 detection guard; raw loads and stores stay inside y[j..j+16] (j + 16 <= len) and the bounds-checked 16-wide x window")
+unsafe fn axpy_rows_avx2(y: &mut [f64], c: &[f64], c_step: usize, x: &[f64], x_stride: usize) {
+    use std::arch::x86_64::*;
+    let len = y.len();
+    let yp = y.as_mut_ptr();
+    let mut j = 0;
+    // 16 columns at a time stay in four registers across every term: the
+    // same per-element mul-then-add sequence as one axpy per term, minus
+    // a load and a store of y per term.
+    while j + 16 <= len {
+        let mut acc = [
+            _mm256_loadu_pd(yp.add(j)),
+            _mm256_loadu_pd(yp.add(j + 4)),
+            _mm256_loadu_pd(yp.add(j + 8)),
+            _mm256_loadu_pd(yp.add(j + 12)),
+        ];
+        for (t, &ct) in c.iter().step_by(c_step).enumerate() {
+            // privim-lint: allow(float-eq, reason = "exact-zero sparsity skip: 0.0 * x contributes exactly nothing, so skipping only IEEE zeros is lossless")
+            if ct != 0.0 {
+                let xp = row_window(x, t, x_stride, len)[j..j + 16].as_ptr();
+                let cv = _mm256_set1_pd(ct);
+                for (q, a) in acc.iter_mut().enumerate() {
+                    *a = _mm256_add_pd(*a, _mm256_mul_pd(cv, _mm256_loadu_pd(xp.add(4 * q))));
+                }
+            }
+        }
+        for (q, a) in acc.iter().enumerate() {
+            _mm256_storeu_pd(yp.add(j + 4 * q), *a);
+        }
+        j += 16;
+    }
+    if j < len {
+        let tail = &mut y[j..];
+        for (t, &ct) in c.iter().step_by(c_step).enumerate() {
+            // privim-lint: allow(float-eq, reason = "exact-zero sparsity skip: 0.0 * x contributes exactly nothing, so skipping only IEEE zeros is lossless")
+            if ct != 0.0 {
+                axpy_avx2(tail, ct, &row_window(x, t, x_stride, len)[j..]);
+            }
+        }
     }
 }
 
@@ -957,6 +1051,37 @@ mod tests {
                 });
                 for (g, &w) in got_scale.iter().zip(&a) {
                     assert_eq!(g.to_bits(), (w * 0.3).to_bits(), "scale {c:?} n={n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn axpy_rows_matches_one_axpy_per_nonzero_coefficient() {
+        // widths around the 16-column register block and the 4/2 lanes
+        for n in [1, 2, 3, 4, 5, 8, 15, 16, 17, 31, 32, 33, 48] {
+            // coefficients c[0], c[2], … (c_step 2): zeros at t = 0 and 4
+            let mut c = vec_pat(12, 3);
+            c[0] = 0.0;
+            c[8] = 0.0;
+            let mut x = vec_pat(6 * n + 3, 4);
+            x[4 * n] = f64::NAN; // behind the zero c_4: must never land
+            let y0 = vec_pat(n, 5);
+            let mut want = y0.clone();
+            for (t, &ct) in c.iter().step_by(2).enumerate() {
+                if ct != 0.0 {
+                    axpy_scalar(&mut want, ct, &x[t * n..(t + 1) * n]);
+                }
+            }
+            assert!(want.iter().all(|v| v.is_finite()));
+            for choice in backends_under_test() {
+                let got = with_backend(choice, || {
+                    let mut y = y0.clone();
+                    axpy_rows(active(), &mut y, &c, 2, &x, n);
+                    y
+                });
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!(g.to_bits(), w.to_bits(), "axpy_rows {choice:?} n={n}");
                 }
             }
         }

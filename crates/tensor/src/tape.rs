@@ -1,10 +1,9 @@
 //! Reverse-mode autodiff tape.
 //!
 //! Eager evaluation: each op computes its value immediately and records the
-//! operands, so `backward` is a single reverse sweep. One tape is created
-//! per forward pass (per subgraph in DP-SGD — Algorithm 2 needs *per-sample*
-//! gradients anyway, so tapes are short-lived and allocation is amortised by
-//! the small shapes involved).
+//! operands, so `backward` is a single reverse sweep. One tape records one
+//! forward pass (one per subgraph in DP-SGD — Algorithm 2 needs
+//! *per-sample* gradients anyway).
 //!
 //! The op set is exactly what the five GNNs (Appendix G) and the IM loss
 //! (Eq. 5) require; see each constructor's docs for the backward rule.
@@ -15,9 +14,11 @@
 //! keep that from hammering the allocator: every op's value matrix draws
 //! its buffer from the thread-local pool in [`crate::pool`] (and returns it
 //! on drop), and [`Tape::with_scratch`] hands out a per-thread recycled
-//! tape whose node storage keeps its capacity across samples. Because
-//! `privim_rt::par` workers are persistent, both warm up once per thread
-//! and stay warm for the whole run.
+//! tape whose node storage keeps its capacity across samples. The scratch
+//! tape keeps its node values until the next sample resets it, so the pool
+//! is sized to hold that live set plus one backward pass (DESIGN.md §10.3).
+//! Because `privim_rt::par` workers are persistent, both warm up once per
+//! thread and stay warm for the whole run.
 
 use crate::matrix::Matrix;
 use crate::sparse::SparseMatrix;
@@ -163,7 +164,8 @@ impl Tape {
         self.sparse.len() - 1
     }
 
-    /// `a × b`. Backward: `dA += dC·Bᵀ`, `dB += Aᵀ·dC`.
+    /// `a × b`. Backward: `dA += dC·Bᵀ`, `dB += Aᵀ·dC` (the latter by
+    /// [`Matrix::transpose_matmul`], without building `Aᵀ`).
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let v = self.value(a).matmul(self.value(b));
         self.push(Op::MatMul(a, b), v)
@@ -392,7 +394,7 @@ impl Tape {
                 Op::Leaf => {}
                 Op::MatMul(a, b) => {
                     let da = d.matmul(&self.value(*b).transpose());
-                    let db = self.value(*a).transpose().matmul(&d);
+                    let db = self.value(*a).transpose_matmul(&d);
                     acc(&mut grads, a.0, da);
                     acc(&mut grads, b.0, db);
                 }

@@ -6,14 +6,14 @@
 //! accumulator contract (DESIGN.md §14), so neither thread scheduling nor
 //! register width can reorder a single floating-point operation.
 
-use privim::pipeline::{run_method, EvalSetup, Method, PipelineParams};
+use privim::pipeline::{export_serve_artifact, run_method, EvalSetup, Method, PipelineParams};
 use privim::trainer::{train_dpgnn, DpSgdConfig, TrainItem};
 use privim_gnn::{GnnConfig, GnnKind, GnnModel};
 use privim_graph::{generators, induced_subgraph};
 use privim_im::ic_spread_estimate;
 use privim_rt::{ChaCha8Rng, Rng, SeedableRng};
 use privim_sampling::{freq_sampling, FreqConfig};
-use privim_tensor::{simd, Matrix, SparseMatrix};
+use privim_tensor::{simd, Matrix, SparseMatrix, Tape};
 use std::sync::Mutex;
 
 /// Tests in this file flip the process-global thread override and must not
@@ -422,19 +422,63 @@ fn kernels_bit_identical_across_simd_backends_and_thread_counts() {
     // agree across backends too.
     let v = random_matrix(1, 1003, &mut rng);
     let w = random_matrix(1, 1003, &mut rng);
+    // Matrix–vector shapes: a GRAT attention score (arcs × 32 · 32 × 1) and
+    // a full-graph readout past the parallel threshold. Column 5 of each
+    // lhs is exactly zero and the rhs holds a NaN behind it, with more
+    // zeros scattered around: the zero skip must keep the NaN out.
+    let with_zeros = |mut m: Matrix| {
+        let cols = m.cols();
+        for (i, x) in m.data_mut().iter_mut().enumerate() {
+            if i % cols == 5 || i % 11 == 0 {
+                *x = 0.0;
+            }
+        }
+        m
+    };
+    let att = with_zeros(random_matrix(113, 32, &mut rng));
+    let readout = with_zeros(random_matrix(7600, 32, &mut rng));
+    let mut vec_nan = random_matrix(32, 1, &mut rng);
+    vec_nan.set(5, 0, f64::NAN);
+    // `Aᵀ·dC` past the parallel threshold, NaN rows of dC behind zero rows
+    // of A.
+    let mut tall = with_zeros(random_matrix(2100, 32, &mut rng));
+    let mut dc = random_matrix(2100, 32, &mut rng);
+    for r in [0, 999, 2099] {
+        tall.row_mut(r).fill(0.0);
+        dc.set(r, 7, f64::NAN);
+    }
 
     let run = |choice: simd::Choice, threads: usize| {
         with_backend_and_threads(choice, threads, || {
+            // The tape's MatMul backward: dA = dC·Bᵀ, dB = Aᵀ·dC.
+            let mut tape = Tape::new();
+            let hw = tape.leaf(att.clone());
+            let a_dst = tape.leaf(random_matrix(32, 1, &mut ChaCha8Rng::seed_from_u64(5)));
+            let scores = tape.matmul(hw, a_dst);
+            let act = tape.tanh(scores);
+            let loss = tape.sum(act);
+            let grads = tape.backward(loss);
             (
                 a.matmul(&b),
                 adj.spmm(&h),
                 simd::dot(v.data(), w.data()).to_bits(),
                 simd::sum(v.data()).to_bits(),
                 simd::sumsq(v.data()).to_bits(),
+                [
+                    att.matmul(&vec_nan),
+                    readout.matmul(&vec_nan),
+                    grads.wrt(hw),
+                    grads.wrt(a_dst),
+                    tall.transpose_matmul(&dc),
+                ],
             )
         })
     };
     let base = run(simd::Choice::Scalar, 1);
+    let names = ["matvec 113x32x1", "matvec 7600x32x1", "tape dA", "tape dB", "AtB 2100"];
+    for (name, m) in names.iter().zip(&base.5) {
+        assert!(!m.has_non_finite(), "{name}: a NaN behind a zero leaked");
+    }
     for choice in [simd::Choice::Scalar, simd::Choice::Auto] {
         for threads in [1, 2, 7] {
             let out = run(choice, threads);
@@ -443,6 +487,9 @@ fn kernels_bit_identical_across_simd_backends_and_thread_counts() {
             assert_eq!(base.2, out.2, "dot diverged ({choice:?}, {threads} threads)");
             assert_eq!(base.3, out.3, "sum diverged ({choice:?}, {threads} threads)");
             assert_eq!(base.4, out.4, "sumsq diverged ({choice:?}, {threads} threads)");
+            for ((name, want), got) in names.iter().zip(&base.5).zip(&out.5) {
+                assert_bits_eq(name, threads, want, got);
+            }
         }
     }
 }
@@ -581,5 +628,48 @@ fn quantization_round_trip_errors_are_bounded() {
             "node {n}: quantized probability drifted {} from dense",
             (a - b).abs()
         );
+    }
+}
+
+/// 64-bit FNV-1a over the little-endian bits of `values`.
+fn fnv_bits(values: impl IntoIterator<Item = f64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in values {
+        for b in v.to_bits().to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Trained parameters, full-graph scores and σ of PrivIM* for every GNN
+/// kind, pinned to golden hashes rather than to a second implementation:
+/// any kernel rewrite must reproduce these bits exactly.
+#[test]
+fn trained_models_match_golden_bits_for_every_gnn_kind() {
+    let mut rng = ChaCha8Rng::seed_from_u64(404);
+    let g = generators::barabasi_albert(240, 4, &mut rng).with_uniform_weights(1.0);
+    let mut params = PipelineParams::paper_defaults(g.num_nodes());
+    params.iters = 8;
+    params.batch = 6;
+    params.walk_len = 80;
+    let setup = EvalSetup::with_params(&g, 10, params, &mut ChaCha8Rng::seed_from_u64(9));
+    // Every kind shares the container, hence σ.
+    const SIGMA: u64 = 0x3ff3_0f2e_b2b4_791f;
+    let golden: [(GnnKind, u64, u64, u64); 5] = [
+        (GnnKind::GraphSage, 0xda8c_f8a8_b7e2_fce9, 0x8849_2fc8_0b84_0e67, SIGMA),
+        (GnnKind::Gcn, 0xdea6_0df3_3a88_93f5, 0xf3ab_f387_f47e_a612, SIGMA),
+        (GnnKind::Gat, 0x13fd_4a5f_a803_1349, 0x76e3_e712_8e02_c3fd, SIGMA),
+        (GnnKind::Gin, 0x055f_2cb4_2c5b_0dbc, 0x5fec_6fe7_35b6_f394, SIGMA),
+        (GnnKind::Grat, 0x7982_0976_d3ff_2bf2, 0x223e_d5c8_d7e3_4fc1, SIGMA),
+    ];
+    for (kind, params_hash, scores_hash, sigma) in golden {
+        let art = export_serve_artifact(Method::PrivImStarWith { epsilon: 3.0, kind }, &setup, 1)
+            .unwrap();
+        let params = art.model.params().iter().flat_map(|m| m.data().to_vec());
+        assert_eq!(fnv_bits(params), params_hash, "{kind:?}: trained parameters moved");
+        let scores = art.model.score_graph(&g);
+        assert_eq!(fnv_bits(scores), scores_hash, "{kind:?}: full-graph scores moved");
+        assert_eq!(art.sigma.to_bits(), sigma, "{kind:?}: σ moved");
     }
 }
