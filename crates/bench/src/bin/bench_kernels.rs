@@ -3,6 +3,8 @@
 //! Times the tensor primitives the DP-SGD hot path bottoms out in —
 //! `Matrix::matmul` (large and at per-sample paper shapes, including the
 //! matrix–vector path), `Matrix::transpose_matmul`, `Matrix::transpose`,
+//! the fused GAT/GRAT attention kernel behind `Tape::attention` (forward
+//! + backward),
 //! `Csr::spmm`, `Csr::spmm_transpose`,
 //! the `simd` reductions (`dot`, `sum`) and the DP-SGD clip loop — in
 //! several configurations per kernel:
@@ -37,6 +39,7 @@ use privim_graph::generators;
 use privim_rt::bench::time_iters;
 use privim_rt::json::Value;
 use privim_rt::{ChaCha8Rng, Rng, SeedableRng};
+use privim_tensor::attention::{self, Normalise};
 use privim_tensor::{simd, GradClip, Matrix, QuantWeights, SparseMatrix};
 
 /// Seed-era dense kernel: plain `i → k → j` scalar loop with the zero-skip.
@@ -110,6 +113,136 @@ fn naive_spmm_transpose(s: &SparseMatrix, dense: &Matrix) -> Matrix {
         }
     }
     out
+}
+
+/// GRAT attention arcs and the inputs of one attention layer.
+struct AttentionCase {
+    hw: Matrix,
+    a_dst: Matrix,
+    a_src: Matrix,
+    /// Upstream gradient of the aggregate.
+    up: Matrix,
+    src: Vec<u32>,
+    dst: Vec<u32>,
+}
+
+/// `[agg | dhw | d a_dst | d a_src]` flattened into one row, so a case
+/// compares every output bit at once.
+fn concat_outputs(parts: &[&Matrix]) -> Matrix {
+    let data: Vec<f64> = parts.iter().flat_map(|m| m.data().iter().copied()).collect();
+    Matrix::from_vec(1, data.len(), data)
+}
+
+/// The fused kernel as `Tape::attention` runs it: node-level scores,
+/// forward, then backward for the upstream gradient `up` into a zeroed
+/// `hw` gradient.
+fn fused_attention(c: &AttentionCase) -> Matrix {
+    let (src, dst) = (c.src.as_slice(), c.dst.as_slice());
+    let (s_dst, s_src) = (c.hw.matmul(&c.a_dst), c.hw.matmul(&c.a_src));
+    let f = attention::forward(&c.hw, &s_dst, &s_src, src, dst, Normalise::BySource);
+    let mut dhw = Matrix::zeros(c.hw.rows(), c.hw.cols());
+    let g = attention::backward(
+        &c.hw,
+        &c.a_dst,
+        &c.a_src,
+        src,
+        dst,
+        Normalise::BySource,
+        &f.raw,
+        &f.alpha,
+        &c.up,
+        Some(&mut dhw),
+    );
+    concat_outputs(&[&f.agg, &dhw, &g.a_dst, &g.a_src])
+}
+
+/// Seed-era attention: the eight generic tape ops (gather, matvec, add,
+/// leaky ReLU, segment softmax, column broadcast, scatter) with their
+/// per-arc `arcs × d` intermediates, forward and reverse sweep, each op
+/// running the element operations it ran on the tape.
+fn naive_attention(c: &AttentionCase) -> Matrix {
+    let (hw, d) = (&c.hw, &c.up);
+    let (n, cols) = hw.shape();
+    let (src, dst): (&[u32], &[u32]) = (&c.src, &c.dst);
+    let arcs = src.len();
+    let gather = |idx: &[u32]| {
+        let mut out = Matrix::zeros(arcs, cols);
+        for (i, &r) in idx.iter().enumerate() {
+            out.row_mut(i).copy_from_slice(hw.row(r as usize));
+        }
+        out
+    };
+    let (src_f, dst_f) = (gather(src), gather(dst));
+    let raw = dst_f.matmul(&c.a_dst).add(&src_f.matmul(&c.a_src));
+    let e = raw.map(|x| if x > 0.0 { x } else { 0.2 * x });
+    let (mut seg_max, mut seg_sum) = (vec![f64::NEG_INFINITY; n], vec![0.0f64; n]);
+    for (i, &g) in src.iter().enumerate() {
+        seg_max[g as usize] = seg_max[g as usize].max(e.get(i, 0));
+    }
+    let mut alpha = Matrix::zeros(arcs, 1);
+    for (i, &g) in src.iter().enumerate() {
+        let x = (e.get(i, 0) - seg_max[g as usize]).exp();
+        alpha.set(i, 0, x);
+        seg_sum[g as usize] += x;
+    }
+    for (i, &g) in src.iter().enumerate() {
+        alpha.set(i, 0, alpha.get(i, 0) / seg_sum[g as usize]);
+    }
+    let mut msgs = src_f.clone();
+    for i in 0..arcs {
+        for x in msgs.row_mut(i) {
+            *x *= alpha.get(i, 0);
+        }
+    }
+    let mut agg = Matrix::zeros(n, cols);
+    for (i, &r) in dst.iter().enumerate() {
+        for (o, &m) in agg.row_mut(r as usize).iter_mut().zip(msgs.row(i)) {
+            *o += m;
+        }
+    }
+    // reverse sweep
+    let mut d_src_f = Matrix::zeros(arcs, cols);
+    for (i, &r) in dst.iter().enumerate() {
+        for (o, &g) in d_src_f.row_mut(i).iter_mut().zip(d.row(r as usize)) {
+            *o += g;
+        }
+    }
+    let mut dalpha = Matrix::zeros(arcs, 1);
+    for i in 0..arcs {
+        let mut s = 0.0;
+        for (&g, &h) in d_src_f.row(i).iter().zip(src_f.row(i)) {
+            s += g * h;
+        }
+        dalpha.set(i, 0, s);
+    }
+    for i in 0..arcs {
+        for x in d_src_f.row_mut(i) {
+            *x *= alpha.get(i, 0);
+        }
+    }
+    let mut seg_dot = vec![0.0f64; n];
+    for (i, &g) in src.iter().enumerate() {
+        seg_dot[g as usize] += dalpha.get(i, 0) * alpha.get(i, 0);
+    }
+    let mut draw = Matrix::zeros(arcs, 1);
+    for (i, &g) in src.iter().enumerate() {
+        let ds = alpha.get(i, 0) * (dalpha.get(i, 0) - seg_dot[g as usize]);
+        draw.set(i, 0, if raw.get(i, 0) > 0.0 { ds } else { 0.2 * ds });
+    }
+    let ds_src = draw.scale(1.0);
+    d_src_f.add_assign(&ds_src.matmul(&c.a_src.transpose()));
+    let g_src = src_f.transpose_matmul(&ds_src);
+    let d_dst_f = draw.matmul(&c.a_dst.transpose());
+    let g_dst = dst_f.transpose_matmul(&draw);
+    let mut dhw = Matrix::zeros(n, cols);
+    for (idx, rows) in [(dst, &d_dst_f), (src, &d_src_f)] {
+        for (i, &r) in idx.iter().enumerate() {
+            for (o, &g) in dhw.row_mut(r as usize).iter_mut().zip(rows.row(i)) {
+                *o += g;
+            }
+        }
+    }
+    concat_outputs(&[&agg, &dhw, &g_dst, &g_src])
 }
 
 fn random_matrix(rows: usize, cols: usize, rng: &mut impl Rng) -> Matrix {
@@ -419,6 +552,21 @@ fn main() {
     let att = random_matrix(113, 32, &mut rng);
     let a_dst = random_matrix(32, 1, &mut rng);
     let dc38 = random_matrix(38, 32, &mut rng);
+    // train-lastfm attention shape: 37 nodes, 73 arcs plus one self-loop
+    // per node.
+    let (mut src, mut dst): (Vec<u32>, Vec<u32>) = (0..73)
+        .map(|_| (rng.gen_range(0..37u32), rng.gen_range(0..37u32)))
+        .unzip();
+    src.extend(0..37u32);
+    dst.extend(0..37u32);
+    let att_case = AttentionCase {
+        hw: random_matrix(37, 32, &mut rng),
+        a_dst: random_matrix(32, 1, &mut rng),
+        a_src: random_matrix(32, 1, &mut rng),
+        up: random_matrix(37, 32, &mut rng),
+        src,
+        dst,
+    };
 
     println!(
         "{:<30} {:>11} {:>11} {:>11} {:>11}",
@@ -456,6 +604,18 @@ fn main() {
             Some(&|| naive_matmul(&naive_transpose(&act), &dc38)),
             &|| act.transpose_matmul(&dc38),
             Some("paper shape: MatMul backward dB = Aᵀ·dC without building Aᵀ; naive = transpose, then the seed matmul"),
+        ),
+        run_case(
+            "attention",
+            "37x32, 110 arcs".to_string(),
+            small_iters,
+            Some(&|| naive_attention(&att_case)),
+            &|| fused_attention(&att_case),
+            Some(
+                "paper shape: one GRAT layer's attention kernel, forward + backward as \
+                 Tape::attention runs it (output = agg, dhw, d a_dst, d a_src); naive = the \
+                 seed-era eight-op composition with its per-arc intermediates",
+            ),
         ),
         run_case(
             "transpose",

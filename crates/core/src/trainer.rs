@@ -548,6 +548,15 @@ mod tests {
             let fresh = privim_tensor::pool::fresh_allocations() - before;
             assert_eq!(fresh, 0, "{kind:?}: warmed samples allocated");
         }
+        // Tape size is the other deterministic cost counter: a GRAT
+        // sample records 14 parameter leaves, the feature constant, 4
+        // nodes per layer (h·W, attention, bias, relu), 3 for the readout
+        // and 9 for the loss.
+        let model = GnnModel::new(GnnConfig::paper_default(), &mut ChaCha8Rng::seed_from_u64(4));
+        let mut tape = Tape::new();
+        let (probs, _) = model.forward(&mut tape, &items[0].gt, &items[0].x);
+        im_loss(&mut tape, &items[0].gt, probs, &cfg.loss);
+        assert_eq!(tape.len(), 39, "GRAT tape nodes per sample");
     }
 
     #[test]

@@ -4,11 +4,14 @@
 //! [`Tape`] (training path, per-subgraph), while [`GnnModel::infer`]
 //! runs the identical computation tape-free (inference path — needed for
 //! full-graph seed scoring where taping 200K-node intermediates would waste
-//! memory). A unit test pins both paths to the same output.
+//! memory). Both paths run GAT/GRAT attention through the one kernel in
+//! [`privim_tensor::attention`]; a unit test pins the two paths to the
+//! same output bits.
 
 use crate::features::FEATURE_DIM;
 use crate::structures::GraphTensors;
 use privim_rt::{PrivimError, PrivimResult, Rng};
+use privim_tensor::attention::{self, Normalise};
 use privim_tensor::{init, Matrix, SparseMatrix, Tape, Var};
 use std::sync::Arc;
 
@@ -68,6 +71,16 @@ impl GnnKind {
     pub fn from_name(name: &str) -> Option<GnnKind> {
         let l = name.to_ascii_lowercase();
         Self::ALL.into_iter().find(|k| k.name() == l)
+    }
+
+    /// Attention normalisation: GAT over each target's in-arcs (Eq. 35),
+    /// GRAT over each source's out-arcs (Eq. 39).
+    pub(crate) fn normalise(self) -> Normalise {
+        if self == GnnKind::Gat {
+            Normalise::ByTarget
+        } else {
+            Normalise::BySource
+        }
     }
 }
 
@@ -349,14 +362,15 @@ impl GnnModel {
     }
 
     /// Differentiable forward pass: registers every parameter as a tape
-    /// leaf and returns `(probabilities, param_vars)` where
+    /// leaf (the features enter as a no-grad constant) and returns
+    /// `(probabilities, param_vars)` where
     /// `probabilities` is the `n×1` sigmoid seed-probability vector and
     /// `param_vars[i]` corresponds to `self.params()[i]`.
     pub fn forward(&self, tape: &mut Tape, gt: &GraphTensors, x: &Matrix) -> (Var, Vec<Var>) {
         assert_eq!(x.rows(), gt.n, "feature row count mismatch");
         assert_eq!(x.cols(), self.config.in_dim, "feature dim mismatch");
         let pvars: Vec<Var> = self.params.iter().map(|p| tape.leaf(p.clone())).collect();
-        let mut h = tape.leaf(x.clone());
+        let mut h = tape.constant(x.clone());
         let mut pi = 0usize;
         let gcn_id = tape.sparse_const(gt.adj_gcn.clone());
         let mean_id = tape.sparse_const(gt.adj_mean.clone());
@@ -386,22 +400,14 @@ impl GnnModel {
                         (pvars[pi], pvars[pi + 1], pvars[pi + 2], pvars[pi + 3]);
                     pi += 4;
                     let hw = tape.matmul(h, w);
-                    let src_f = tape.gather_rows(hw, gt.att_src.clone());
-                    let dst_f = tape.gather_rows(hw, gt.att_dst.clone());
-                    let s_dst = tape.matmul(dst_f, a_dst);
-                    let s_src = tape.matmul(src_f, a_src);
-                    let raw = tape.add(s_dst, s_src);
-                    let e = tape.leaky_relu(raw, 0.2);
-                    // Eq. 35 (GAT): normalise over each target's in-arcs;
-                    // Eq. 39 (GRAT): over each source's out-arcs.
-                    let seg = if self.config.kind == GnnKind::Gat {
-                        gt.att_dst.clone()
-                    } else {
-                        gt.att_src.clone()
-                    };
-                    let alpha = tape.segment_softmax(e, seg);
-                    let msgs = tape.mul_col_broadcast(alpha, src_f);
-                    let agg = tape.scatter_add_rows(msgs, gt.att_dst.clone(), gt.n);
+                    let agg = tape.attention(
+                        hw,
+                        a_dst,
+                        a_src,
+                        gt.att_src.clone(),
+                        gt.att_dst.clone(),
+                        self.config.kind.normalise(),
+                    );
                     // GAT-only skip connection: target-normalised attention
                     // averages away the node's own magnitude information
                     // (on attribute-poor graphs the degree signal inverts),
@@ -507,25 +513,16 @@ impl GnnModel {
                     );
                     pi += 4;
                     let hw = h.matmul(w);
-                    let src_f = gather(&hw, &gt.att_src);
-                    let dst_f = gather(&hw, &gt.att_dst);
-                    let mut e = dst_f.matmul(a_dst);
-                    e.add_assign(&src_f.matmul(a_src));
-                    let e = e.map(|v| if v > 0.0 { v } else { 0.2 * v });
-                    let seg: &[u32] = if self.config.kind == GnnKind::Gat {
-                        &gt.att_dst
-                    } else {
-                        &gt.att_src
-                    };
-                    let alpha = segment_softmax(&e, seg);
-                    let mut msgs = src_f;
-                    for r in 0..msgs.rows() {
-                        let a = alpha[r];
-                        for v in msgs.row_mut(r) {
-                            *v *= a;
-                        }
-                    }
-                    let mut agg = scatter_add(&msgs, &gt.att_dst, gt.n);
+                    let (s_dst, s_src) = (hw.matmul(a_dst), hw.matmul(a_src));
+                    let mut agg = attention::forward(
+                        &hw,
+                        &s_dst,
+                        &s_src,
+                        &gt.att_src,
+                        &gt.att_dst,
+                        self.config.kind.normalise(),
+                    )
+                    .agg;
                     if self.config.kind == GnnKind::Gat {
                         agg.add_assign(&hw);
                     }
@@ -561,7 +558,8 @@ impl GnnModel {
 
 // -------- tape-free helpers (mirror tape op semantics) --------
 // pub(crate): the quantized serving model reuses these so its layer loop
-// stays operation-for-operation aligned with `hidden_features`.
+// stays operation-for-operation aligned with `hidden_features`; both run
+// attention through `privim_tensor::attention::forward`.
 
 pub(crate) fn relu(m: &Matrix) -> Matrix {
     m.map(|x| x.max(0.0))
@@ -575,44 +573,6 @@ pub(crate) fn add_bias(m: &Matrix, b: &Matrix) -> Matrix {
         }
     }
     out
-}
-
-pub(crate) fn gather(m: &Matrix, idx: &[u32]) -> Matrix {
-    let mut out = Matrix::zeros(idx.len(), m.cols());
-    for (i, &r) in idx.iter().enumerate() {
-        out.row_mut(i).copy_from_slice(m.row(r as usize));
-    }
-    out
-}
-
-pub(crate) fn scatter_add(m: &Matrix, idx: &[u32], rows: usize) -> Matrix {
-    let mut out = Matrix::zeros(rows, m.cols());
-    for (i, &r) in idx.iter().enumerate() {
-        let dst = out.row_mut(r as usize);
-        for (j, &v) in m.row(i).iter().enumerate() {
-            dst[j] += v;
-        }
-    }
-    out
-}
-
-pub(crate) fn segment_softmax(scores: &Matrix, seg: &[u32]) -> Vec<f64> {
-    let nseg = seg.iter().map(|&x| x as usize + 1).max().unwrap_or(0);
-    let mut mx = vec![f64::NEG_INFINITY; nseg];
-    for (i, &g) in seg.iter().enumerate() {
-        mx[g as usize] = mx[g as usize].max(scores.get(i, 0));
-    }
-    let mut sum = vec![0.0; nseg];
-    let mut ex = vec![0.0; seg.len()];
-    for (i, &g) in seg.iter().enumerate() {
-        let e = (scores.get(i, 0) - mx[g as usize]).exp();
-        ex[i] = e;
-        sum[g as usize] += e;
-    }
-    for (i, &g) in seg.iter().enumerate() {
-        ex[i] /= sum[g as usize];
-    }
-    ex
 }
 
 // `SparseMatrix` import is used by GraphTensors fields through methods only;
@@ -662,8 +622,9 @@ mod tests {
             let (pv, _) = model.forward(&mut tape, &gt, &x);
             let tape_probs = tape.value(pv).data().to_vec();
             let infer_probs = model.infer(&gt, &x);
+            assert_eq!(tape_probs.len(), infer_probs.len());
             for (a, b) in tape_probs.iter().zip(&infer_probs) {
-                assert!((a - b).abs() < 1e-12, "{kind:?}: {a} vs {b}");
+                assert_eq!(a.to_bits(), b.to_bits(), "{kind:?}: {a} vs {b}");
             }
         }
     }

@@ -9,15 +9,18 @@
 //!
 //! The layer loop below is deliberately operation-for-operation aligned
 //! with `GnnModel::hidden_features` (it reuses the same crate-private
-//! helpers), so the only divergence between the dense and quantized
-//! paths is the weight contraction itself — which keeps the quantization
-//! error analysable as a per-matmul perturbation.
+//! helpers and the same attention kernel,
+//! [`privim_tensor::attention::forward`]), so the only divergence between
+//! the dense and quantized paths is the weight contraction itself — which
+//! keeps the quantization error analysable as a per-matmul perturbation.
+//! The int8 contraction quantizes activations per row, so the attention
+//! scores are computed once per node, exactly as they would be per arc.
 
-use crate::model::{add_bias, gather, relu, scatter_add, segment_softmax, GnnConfig, GnnKind, GnnModel};
+use crate::model::{add_bias, relu, GnnConfig, GnnKind, GnnModel};
 use crate::structures::GraphTensors;
 use privim_rt::json::Value;
 use privim_rt::{PrivimError, PrivimResult};
-use privim_tensor::{Matrix, QuantWeights};
+use privim_tensor::{attention, Matrix, QuantWeights};
 
 /// One quantized message-passing layer (layout follows the architecture).
 #[derive(Clone, Debug)]
@@ -143,25 +146,16 @@ impl QuantGnnModel {
                 }
                 QLayer::Att { w, a_dst, a_src, b } => {
                     let hw = w.matmul(&h);
-                    let src_f = gather(&hw, &gt.att_src);
-                    let dst_f = gather(&hw, &gt.att_dst);
-                    let mut e = a_dst.matmul(&dst_f);
-                    e.add_assign(&a_src.matmul(&src_f));
-                    let e = e.map(|v| if v > 0.0 { v } else { 0.2 * v });
-                    let seg: &[u32] = if self.config.kind == GnnKind::Gat {
-                        &gt.att_dst
-                    } else {
-                        &gt.att_src
-                    };
-                    let alpha = segment_softmax(&e, seg);
-                    let mut msgs = src_f;
-                    for r in 0..msgs.rows() {
-                        let a = alpha[r];
-                        for v in msgs.row_mut(r) {
-                            *v *= a;
-                        }
-                    }
-                    let mut agg = scatter_add(&msgs, &gt.att_dst, gt.n);
+                    let (s_dst, s_src) = (a_dst.matmul(&hw), a_src.matmul(&hw));
+                    let mut agg = attention::forward(
+                        &hw,
+                        &s_dst,
+                        &s_src,
+                        &gt.att_src,
+                        &gt.att_dst,
+                        self.config.kind.normalise(),
+                    )
+                    .agg;
                     if self.config.kind == GnnKind::Gat {
                         agg.add_assign(&hw);
                     }

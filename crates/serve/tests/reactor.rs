@@ -13,7 +13,7 @@ use privim_serve::client::{frame, read_response, Response};
 use privim_serve::{metrics, start, ServeConfig, ServerHandle};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn reactor_server(seed: u64, cfg: ServeConfig) -> ServerHandle {
     start(common::test_bundle(seed, 120, None).0, cfg).unwrap()
@@ -295,7 +295,16 @@ fn half_sent_request_is_reaped_by_the_header_timeout() {
     let mut buf = Vec::new();
     stalled.read_to_end(&mut buf).unwrap(); // EOF = server-side close
     assert!(buf.is_empty(), "no response should precede the reap: {buf:?}");
-    let text = handle.metrics_text();
+    // The client can see EOF before the reactor has retired the
+    // connection from its gauge, so poll the gauge up to a deadline.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut text = handle.metrics_text();
+    while metrics::parse_counter(&text, "privim_open_connections") != Some(0)
+        && Instant::now() < deadline
+    {
+        std::thread::sleep(Duration::from_millis(10));
+        text = handle.metrics_text();
+    }
     assert!(
         metrics::parse_counter(&text, "privim_header_timeout_closes_total").unwrap() >= 1,
         "reap must be attributed to the header timeout: {text}"

@@ -137,31 +137,47 @@ mod tests {
     }
 
     #[test]
-    fn gather_scatter_gradcheck() {
+    fn gather_gradcheck() {
         for_cases(24, |rng| {
             let a = small_matrix(4, 2, rng);
             let idx = Arc::new(vec![3u32, 0, 0, 2, 1]);
-            let back = Arc::new(vec![1u32, 1, 0, 3, 2]);
             assert_gradients_match(&[a], 1e-6, move |t, v| {
                 let g = t.gather_rows(v[0], idx.clone());
-                let s = t.scatter_add_rows(g, back.clone(), 4);
-                let sq = t.mul(s, s);
+                let sq = t.mul(g, g);
                 t.sum(sq)
             });
         });
     }
 
+    /// Attention arcs with self-loops: node 0 has several out-arcs (and
+    /// in-arcs), node 4's only arc is its self-loop.
+    fn attention_arcs() -> (Arc<Vec<u32>>, Arc<Vec<u32>>) {
+        let src = vec![0u32, 0, 0, 1, 2, 3, 0, 1, 2, 3, 4];
+        let dst = vec![1u32, 2, 3, 2, 0, 0, 0, 1, 2, 3, 4];
+        (Arc::new(src), Arc::new(dst))
+    }
+
     #[test]
-    fn segment_softmax_gradcheck() {
-        for_cases(24, |rng| {
-            let s = small_matrix(6, 1, rng);
-            let seg = Arc::new(vec![0u32, 0, 1, 1, 1, 2]);
-            assert_gradients_match(&[s], 1e-5, move |t, v| {
-                let y = t.segment_softmax(v[0], seg.clone());
-                let sq = t.mul(y, y);
-                t.sum(sq)
+    fn attention_gradcheck_both_normalisations() {
+        use crate::attention::Normalise;
+        for normalise in [Normalise::ByTarget, Normalise::BySource] {
+            for_cases(24, |rng| {
+                let hw = small_matrix(5, 3, rng);
+                let a_dst = small_matrix(3, 1, rng);
+                let a_src = small_matrix(3, 1, rng);
+                let (src, dst) = attention_arcs();
+                // GAT's skip connection writes hw's gradient slot before
+                // the attention backward accumulates into it.
+                let skip = normalise == Normalise::ByTarget;
+                assert_gradients_match(&[hw, a_dst, a_src], 1e-5, move |t, v| {
+                    let agg = t.attention(v[0], v[1], v[2], src.clone(), dst.clone(), normalise);
+                    let out = if skip { t.add(agg, v[0]) } else { agg };
+                    let y = t.tanh(out);
+                    let sq = t.mul(y, y);
+                    t.sum(sq)
+                });
             });
-        });
+        }
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //! A minimal, self-contained reverse-mode automatic-differentiation engine
 //! sized for the PrivIM workload: small dense matrices (subgraphs have at
 //! most ~80 nodes, hidden width 32) flowing through graph message-passing
-//! operators (sparse matrix × dense matrix, edge gather/scatter, segment
-//! softmax) plus the usual dense ops (matmul, elementwise nonlinearities,
-//! reductions).
+//! operators (sparse matrix × dense matrix, fused GAT/GRAT attention) plus
+//! the usual dense ops (matmul, elementwise nonlinearities, reductions).
 //!
 //! The paper's reference implementation uses PyTorch; this crate replaces it
 //! per the substitution policy in DESIGN.md. Backward passes are verified
@@ -29,6 +28,7 @@
 //! assert_eq!(grads.wrt(wv).rows(), 2);
 //! ```
 
+pub mod attention;
 pub mod gradcheck;
 pub mod init;
 pub mod matrix;

@@ -225,7 +225,9 @@ impl Matrix {
     /// matter how rows are partitioned or which [`simd`] backend runs — so
     /// the result is bit-identical at any thread count. The backend is
     /// resolved once per call; a `rhs` with one column takes a
-    /// matrix–vector path with one scalar accumulator per output row.
+    /// matrix–vector path with one scalar accumulator per output row (four
+    /// rows interleaved), and a `self` with one column an outer-product
+    /// path.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, rhs.rows,
@@ -249,7 +251,8 @@ impl Matrix {
     }
 
     /// Output rows `r0 .. r0 + out_chunk.len()/n` of `self × rhs`: a tiled
-    /// ikj kernel, or a dot product per row when `rhs` is a column.
+    /// ikj kernel, a dot product per row when `rhs` is a column, or one
+    /// scaled copy of `rhs` per row when `self` is a column.
     fn matmul_rows(
         &self,
         rhs: &Matrix,
@@ -260,16 +263,19 @@ impl Matrix {
         let k = self.cols;
         let n = rhs.cols;
         if n == 1 {
-            // k-ascending with the zero skip: the bits of a length-1 axpy
-            for (i, o) in out_chunk.iter_mut().enumerate() {
-                let mut acc = 0.0;
-                for (&aik, &bk) in self.row(r0 + i).iter().zip(rhs.data.iter()) {
-                    // privim-lint: allow(float-eq, reason = "exact-zero sparsity skip: 0.0 * bk contributes exactly nothing, so skipping only IEEE zeros is lossless")
-                    if aik != 0.0 {
-                        acc += aik * bk;
+            self.matvec_rows(&rhs.data, r0, out_chunk);
+            return;
+        }
+        if k == 1 {
+            // Outer product: the single term of each row, added into the
+            // zeroed output with the zero skip, as the tiled kernel would.
+            for (orow, &a) in out_chunk.chunks_exact_mut(n).zip(&self.data[r0..]) {
+                // privim-lint: allow(float-eq, reason = "exact-zero sparsity skip: 0.0 * b contributes exactly nothing, so skipping only IEEE zeros is lossless")
+                if a != 0.0 {
+                    for (o, &b) in orow.iter_mut().zip(rhs.data.iter()) {
+                        *o += a * b;
                     }
                 }
-                *o = acc;
             }
             return;
         }
@@ -290,6 +296,44 @@ impl Matrix {
                     );
                 }
             }
+        }
+    }
+
+    /// Rows `r0 .. r0 + out.len()` of `self · v`: per row a k-ascending
+    /// sum from `0.0` with the zero skip (the bits of a length-1 axpy per
+    /// term). Four rows run interleaved, so four independent add chains
+    /// overlap instead of one waiting on the adder's latency.
+    fn matvec_rows(&self, v: &[f64], r0: usize, out: &mut [f64]) {
+        let k = self.cols;
+        let term = |acc: f64, a: f64, b: f64| {
+            // privim-lint: allow(float-eq, reason = "exact-zero sparsity skip: 0.0 * b contributes exactly nothing, so skipping only IEEE zeros is lossless")
+            if a != 0.0 {
+                acc + a * b
+            } else {
+                acc
+            }
+        };
+        let mut quads = out.chunks_exact_mut(4);
+        let mut r = r0;
+        for o in &mut quads {
+            let rows = &self.data[r * k..(r + 4) * k];
+            let (x0, rest) = rows.split_at(k);
+            let (x1, rest) = rest.split_at(k);
+            let (x2, x3) = rest.split_at(k);
+            let mut acc = [0.0f64; 4];
+            for t in 0..k {
+                let b = v[t];
+                acc[0] = term(acc[0], x0[t], b);
+                acc[1] = term(acc[1], x1[t], b);
+                acc[2] = term(acc[2], x2[t], b);
+                acc[3] = term(acc[3], x3[t], b);
+            }
+            o.copy_from_slice(&acc);
+            r += 4;
+        }
+        for o in quads.into_remainder() {
+            *o = self.row(r).iter().zip(v).fold(0.0, |acc, (&a, &b)| term(acc, a, b));
+            r += 1;
         }
     }
 
@@ -410,27 +454,25 @@ impl Matrix {
         self.zip(rhs, |a, b| a * b)
     }
 
-    /// Elementwise combine (same shape).
+    /// Elementwise combine (same shape). Overwrites a zeroed buffer in
+    /// one pass, which vectorizes where pushing element by element
+    /// cannot.
     pub fn zip(&self, rhs: &Matrix, f: impl Fn(f64, f64) -> f64) -> Matrix {
         assert_eq!(self.shape(), rhs.shape(), "shape mismatch");
-        let mut data = pool::acquire(self.data.len());
-        data.extend_iter(self.data.iter().zip(rhs.data.iter()).map(|(&a, &b)| f(a, b)));
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
+        let mut out = Matrix::zeros(self.rows, self.cols);
+        for ((o, &a), &b) in out.data.iter_mut().zip(self.data.iter()).zip(rhs.data.iter()) {
+            *o = f(a, b);
         }
+        out
     }
 
-    /// Elementwise map.
+    /// Elementwise map (one overwriting pass, as [`Self::zip`]).
     pub fn map(&self, f: impl Fn(f64) -> f64) -> Matrix {
-        let mut data = pool::acquire(self.data.len());
-        data.extend_iter(self.data.iter().map(|&x| f(x)));
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
+        let mut out = Matrix::zeros(self.rows, self.cols);
+        for (o, &x) in out.data.iter_mut().zip(self.data.iter()) {
+            *o = f(x);
         }
+        out
     }
 
     /// Scale by a constant.
@@ -630,6 +672,17 @@ mod tests {
             let a = rounding_matrix(m, k, 4);
             let b = rounding_matrix(k, 1, 5);
             assert_eq!(a.matmul(&b), naive_matmul(&a, &b), "{m}x{k}x1");
+        }
+    }
+
+    #[test]
+    fn outer_product_path_bitwise_matches_naive() {
+        // a one-column lhs (the readout's dA = dC·wᵀ), including a size
+        // past the parallel threshold
+        for (m, n) in [(1, 2), (37, 32), (9, 300), (2100, 32)] {
+            let a = rounding_matrix(m, 1, 8);
+            let b = rounding_matrix(1, n, 9);
+            assert_eq!(a.matmul(&b), naive_matmul(&a, &b), "{m}x1x{n}");
         }
     }
 

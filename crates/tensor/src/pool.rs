@@ -20,9 +20,9 @@
 //! `privim_rt::par` keeps its workers alive for the whole process — lets
 //! each worker's pool stay warm across batches.
 //!
-//! Determinism: a recycled buffer is either fully overwritten (`map`/`zip`/
-//! clone paths extend into a cleared buffer) or explicitly zero-filled
-//! (`zeros`), so buffer identity can never reach results.
+//! Determinism: a recycled buffer is either fully overwritten (clone paths
+//! extend into a cleared buffer) or explicitly filled (`zeros`/`full`, which
+//! `map`/`zip` then overwrite), so buffer identity can never reach results.
 //!
 //! [`Matrix`]: crate::Matrix
 
@@ -157,15 +157,6 @@ impl AlignedBuf {
             std::ptr::copy_nonoverlapping(s.as_ptr(), self.ptr.as_ptr().add(self.len), s.len());
         }
         self.len += s.len();
-    }
-
-    /// Append every item of an iterator.
-    pub fn extend_iter(&mut self, it: impl Iterator<Item = f64>) {
-        let (lower, _) = it.size_hint();
-        self.reserve(lower);
-        for x in it {
-            self.push(x);
-        }
     }
 
     /// Resize to `n` elements, filling new tail slots with `value`.
@@ -405,7 +396,7 @@ mod tests {
         assert!(b.is_empty());
         b.extend_from_slice(&[1.0, 2.0]);
         b.push(3.0);
-        b.extend_iter([4.0, 5.0].into_iter());
+        b.extend_from_slice(&[4.0, 5.0]);
         assert_eq!(&b[..], &[1.0, 2.0, 3.0, 4.0, 5.0]);
         b.resize(3, 0.0);
         assert_eq!(&b[..], &[1.0, 2.0, 3.0]);

@@ -7,6 +7,13 @@
 //!
 //! The op set is exactly what the five GNNs (Appendix G) and the IM loss
 //! (Eq. 5) require; see each constructor's docs for the backward rule.
+//! Graph attention is one fused op ([`Tape::attention`], kernel in
+//! [`crate::attention`]).
+//!
+//! Every node records whether a gradient can reach a leaf through it:
+//! [`Tape::constant`] inputs (node features) and ops whose operands are
+//! all constants carry none, and the reverse sweep never computes an
+//! operand gradient that would only land there.
 //!
 //! ## Allocation reuse
 //!
@@ -20,6 +27,7 @@
 //! Because `privim_rt::par` workers are persistent, both warm up once per
 //! thread and stay warm for the whole run.
 
+use crate::attention::{self, Normalise};
 use crate::matrix::Matrix;
 use crate::sparse::SparseMatrix;
 use std::cell::RefCell;
@@ -32,6 +40,7 @@ pub struct Var(usize);
 #[derive(Clone, Debug)]
 enum Op {
     Leaf,
+    Constant,
     MatMul(Var, Var),
     Add(Var, Var),
     Sub(Var, Var),
@@ -51,14 +60,55 @@ enum Op {
     ConcatCols(Var, Var),
     Spmm(usize, Var),
     GatherRows(Var, Arc<Vec<u32>>),
-    ScatterAddRows(Var, Arc<Vec<u32>>),
-    SegmentSoftmax(Var, Arc<Vec<u32>>),
     MulColBroadcast(Var, Var),
+    Attention {
+        hw: Var,
+        a_dst: Var,
+        a_src: Var,
+        src: Arc<Vec<u32>>,
+        dst: Arc<Vec<u32>>,
+        normalise: Normalise,
+        /// Per-arc raw scores and coefficients saved for the backward.
+        raw: Matrix,
+        alpha: Matrix,
+    },
+}
+
+impl Op {
+    /// The tape operands this op's backward differentiates into.
+    fn operands(&self) -> [Option<Var>; 3] {
+        match *self {
+            Op::Leaf | Op::Constant => [None; 3],
+            Op::MatMul(a, b)
+            | Op::Add(a, b)
+            | Op::Sub(a, b)
+            | Op::Mul(a, b)
+            | Op::AddRowBroadcast(a, b)
+            | Op::ConcatCols(a, b)
+            | Op::MulColBroadcast(a, b) => [Some(a), Some(b), None],
+            Op::Scale(a, _)
+            | Op::AddScalar(a)
+            | Op::Relu(a)
+            | Op::LeakyRelu(a, _)
+            | Op::Sigmoid(a)
+            | Op::Tanh(a)
+            | Op::Exp(a)
+            | Op::Clamp01(a)
+            | Op::OneMinus(a)
+            | Op::Sum(a)
+            | Op::Mean(a)
+            | Op::Spmm(_, a)
+            | Op::GatherRows(a, _) => [Some(a), None, None],
+            Op::Attention { hw, a_dst, a_src, .. } => [Some(hw), Some(a_dst), Some(a_src)],
+        }
+    }
 }
 
 struct Node {
     op: Op,
     value: Matrix,
+    /// True when a gradient can flow from this node to a leaf.
+    grad: bool,
 }
 
 /// Gradients of one scalar output with respect to every tape node.
@@ -147,14 +197,25 @@ impl Tape {
     }
 
     fn push(&mut self, op: Op, value: Matrix) -> Var {
-        self.nodes.push(Node { op, value });
+        let grad = match op {
+            Op::Leaf => true,
+            _ => op.operands().iter().flatten().any(|v| self.nodes[v.0].grad),
+        };
+        self.nodes.push(Node { op, value, grad });
         Var(self.nodes.len() - 1)
     }
 
-    /// Register a constant / parameter matrix. Gradients flow *to* leaves
-    /// but not through them.
+    /// Register a parameter matrix. Gradients flow *to* leaves but not
+    /// through them.
     pub fn leaf(&mut self, value: Matrix) -> Var {
         self.push(Op::Leaf, value)
+    }
+
+    /// Register a no-grad input (node features): its gradient is never
+    /// computed, nor that of any op whose operands are all constants;
+    /// [`Gradients::wrt`] reports zeros for it.
+    pub fn constant(&mut self, value: Matrix) -> Var {
+        self.push(Op::Constant, value)
     }
 
     /// Register a sparse constant for use with [`Self::spmm`]. Takes an
@@ -299,47 +360,37 @@ impl Tape {
         self.push(Op::GatherRows(a, idx), out)
     }
 
-    /// Row scatter-add: `out[idx[i]] += a[i]` with `out` having `out_rows`
-    /// rows (edge message → node aggregation). Backward gathers.
-    pub fn scatter_add_rows(&mut self, a: Var, idx: Arc<Vec<u32>>, out_rows: usize) -> Var {
-        let am = self.value(a);
-        assert_eq!(am.rows(), idx.len(), "index length mismatch");
-        let mut out = Matrix::zeros(out_rows, am.cols());
-        for (i, &r) in idx.iter().enumerate() {
-            let dst = out.row_mut(r as usize);
-            let src = am.row(i);
-            for j in 0..src.len() {
-                dst[j] += src[j];
-            }
-        }
-        self.push(Op::ScatterAddRows(a, idx), out)
-    }
-
-    /// Softmax of a column vector within segments: entries sharing
-    /// `segments[i]` are normalised together (GAT normalises over each
-    /// target's in-edges, GRAT over each source's out-edges — Eqs. 35/39).
-    /// Numerically stabilised by per-segment max subtraction.
-    pub fn segment_softmax(&mut self, scores: Var, segments: Arc<Vec<u32>>) -> Var {
-        let s = self.value(scores);
-        assert_eq!(s.cols(), 1, "segment_softmax expects a column vector");
-        assert_eq!(s.rows(), segments.len(), "segment length mismatch");
-        let nseg = segments.iter().map(|&x| x as usize + 1).max().unwrap_or(0);
-        let mut seg_max = vec![f64::NEG_INFINITY; nseg];
-        for (i, &g) in segments.iter().enumerate() {
-            seg_max[g as usize] = seg_max[g as usize].max(s.get(i, 0));
-        }
-        let mut seg_sum = vec![0.0f64; nseg];
-        let mut ex = vec![0.0f64; s.rows()];
-        for (i, &g) in segments.iter().enumerate() {
-            let e = (s.get(i, 0) - seg_max[g as usize]).exp();
-            ex[i] = e;
-            seg_sum[g as usize] += e;
-        }
-        let mut out = Matrix::zeros(s.rows(), 1);
-        for (i, &g) in segments.iter().enumerate() {
-            out.set(i, 0, ex[i] / seg_sum[g as usize]);
-        }
-        self.push(Op::SegmentSoftmax(scores, segments), out)
+    /// Graph attention over the arcs `src[i] → dst[i]` (GAT/GRAT, see
+    /// [`crate::attention`]): node-level scores `hw·a_dst` and `hw·a_src`,
+    /// leaky ReLU, a softmax normalised per target or per source, and
+    /// `out[dst] += α · hw[src]`. `hw` is `n × d`, `a_dst`/`a_src` are
+    /// `d × 1`; the output is `n × d`. Backward accumulates `hw`'s
+    /// gradient by scatter (target terms, then message and source terms)
+    /// and the attention vectors' per arc.
+    pub fn attention(
+        &mut self,
+        hw: Var,
+        a_dst: Var,
+        a_src: Var,
+        src: Arc<Vec<u32>>,
+        dst: Arc<Vec<u32>>,
+        normalise: Normalise,
+    ) -> Var {
+        let h = self.value(hw);
+        let s_dst = h.matmul(self.value(a_dst));
+        let s_src = h.matmul(self.value(a_src));
+        let f = attention::forward(h, &s_dst, &s_src, &src, &dst, normalise);
+        let op = Op::Attention {
+            hw,
+            a_dst,
+            a_src,
+            src,
+            dst,
+            normalise,
+            raw: f.raw,
+            alpha: f.alpha,
+        };
+        self.push(op, f.agg)
     }
 
     /// Broadcast a column vector across columns: `out[i][j] = c[i] · a[i][j]`
@@ -350,12 +401,7 @@ impl Tape {
         assert_eq!(cm.cols(), 1, "coefficient must be a column vector");
         assert_eq!(cm.rows(), am.rows(), "row mismatch");
         let mut out = am.clone();
-        for r in 0..out.rows() {
-            let cv = cm.get(r, 0);
-            for x in out.row_mut(r) {
-                *x *= cv;
-            }
-        }
+        scale_rows(&mut out, cm);
         self.push(Op::MulColBroadcast(c, a), out)
     }
 
@@ -366,7 +412,9 @@ impl Tape {
         assert_eq!(lm.shape(), (1, 1), "backward needs a scalar loss");
         let shapes: Vec<(usize, usize)> = self.nodes.iter().map(|n| n.value.shape()).collect();
         let mut grads: Vec<Option<Matrix>> = vec![None; self.nodes.len()];
-        grads[loss.0] = Some(Matrix::from_vec(1, 1, vec![1.0]));
+        if self.nodes[loss.0].grad {
+            grads[loss.0] = Some(Matrix::full(1, 1, 1.0));
+        }
 
         // Accumulate `delta` into `grads[target]`, reusing `delta`'s
         // allocation when the slot is empty.
@@ -383,6 +431,11 @@ impl Tape {
             }
         }
 
+        // Only operands a gradient can flow through get one; a node that
+        // does not need one never fills its slot, so its backward never
+        // runs.
+        let needs = |v: &Var| self.nodes[v.0].grad;
+
         for id in (0..=loss.0).rev() {
             // Interior gradients are consumed (moved out); leaves keep
             // theirs for the caller.
@@ -391,36 +444,55 @@ impl Tape {
                 continue;
             };
             match &self.nodes[id].op {
-                Op::Leaf => {}
+                Op::Leaf | Op::Constant => {}
                 Op::MatMul(a, b) => {
-                    let da = d.matmul(&self.value(*b).transpose());
-                    let db = self.value(*a).transpose_matmul(&d);
-                    acc(&mut grads, a.0, da);
-                    acc(&mut grads, b.0, db);
+                    if needs(a) {
+                        let da = d.matmul(&self.value(*b).transpose());
+                        acc(&mut grads, a.0, da);
+                    }
+                    if needs(b) {
+                        let db = self.value(*a).transpose_matmul(&d);
+                        acc(&mut grads, b.0, db);
+                    }
                 }
                 Op::Add(a, b) => {
-                    acc_scaled(&mut grads, b.0, &d, 1.0);
-                    acc(&mut grads, a.0, d);
+                    if needs(b) {
+                        acc_scaled(&mut grads, b.0, &d, 1.0);
+                    }
+                    if needs(a) {
+                        acc(&mut grads, a.0, d);
+                    }
                 }
                 Op::Sub(a, b) => {
-                    acc_scaled(&mut grads, b.0, &d, -1.0);
-                    acc(&mut grads, a.0, d);
+                    if needs(b) {
+                        acc_scaled(&mut grads, b.0, &d, -1.0);
+                    }
+                    if needs(a) {
+                        acc(&mut grads, a.0, d);
+                    }
                 }
                 Op::Mul(a, b) => {
-                    let da = d.hadamard(self.value(*b));
-                    let db = d.hadamard(self.value(*a));
-                    acc(&mut grads, a.0, da);
-                    acc(&mut grads, b.0, db);
+                    if needs(a) {
+                        acc(&mut grads, a.0, d.hadamard(self.value(*b)));
+                    }
+                    if needs(b) {
+                        acc(&mut grads, b.0, d.hadamard(self.value(*a)));
+                    }
                 }
                 Op::AddRowBroadcast(a, bias) => {
-                    let mut bsum = Matrix::zeros(1, d.cols());
-                    for r in 0..d.rows() {
-                        for j in 0..d.cols() {
-                            bsum.set(0, j, bsum.get(0, j) + d.get(r, j));
+                    if needs(bias) {
+                        // column sums, rows added in ascending order
+                        let mut bsum = Matrix::zeros(1, d.cols());
+                        for r in 0..d.rows() {
+                            for (o, &g) in bsum.data_mut().iter_mut().zip(d.row(r)) {
+                                *o += g;
+                            }
                         }
+                        acc(&mut grads, bias.0, bsum);
                     }
-                    acc(&mut grads, bias.0, bsum);
-                    acc(&mut grads, a.0, d);
+                    if needs(a) {
+                        acc(&mut grads, a.0, d);
+                    }
                 }
                 Op::Scale(a, c) => acc_scaled(&mut grads, a.0, &d, *c),
                 Op::AddScalar(a) => acc(&mut grads, a.0, d),
@@ -466,14 +538,20 @@ impl Tape {
                 }
                 Op::ConcatCols(a, b) => {
                     let ac = self.value(*a).cols();
-                    let mut da = Matrix::zeros(d.rows(), ac);
-                    let mut db = Matrix::zeros(d.rows(), d.cols() - ac);
-                    for r in 0..d.rows() {
-                        da.row_mut(r).copy_from_slice(&d.row(r)[..ac]);
-                        db.row_mut(r).copy_from_slice(&d.row(r)[ac..]);
+                    if needs(a) {
+                        let mut da = Matrix::zeros(d.rows(), ac);
+                        for r in 0..d.rows() {
+                            da.row_mut(r).copy_from_slice(&d.row(r)[..ac]);
+                        }
+                        acc(&mut grads, a.0, da);
                     }
-                    acc(&mut grads, a.0, da);
-                    acc(&mut grads, b.0, db);
+                    if needs(b) {
+                        let mut db = Matrix::zeros(d.rows(), d.cols() - ac);
+                        for r in 0..d.rows() {
+                            db.row_mut(r).copy_from_slice(&d.row(r)[ac..]);
+                        }
+                        acc(&mut grads, b.0, db);
+                    }
                 }
                 Op::Spmm(sid, h) => {
                     let dh = self.sparse[*sid].spmm_transpose(&d);
@@ -494,57 +572,95 @@ impl Tape {
                     }
                     grads[a.0] = Some(da);
                 }
-                Op::ScatterAddRows(a, idx) => {
-                    let (r, c) = self.value(*a).shape();
-                    let mut da = Matrix::zeros(r, c);
-                    for (i, &row) in idx.iter().enumerate() {
-                        let src = d.row(row as usize);
-                        let dst = da.row_mut(i);
-                        for j in 0..src.len() {
-                            dst[j] += src[j];
-                        }
-                    }
-                    acc(&mut grads, a.0, da);
-                }
-                Op::SegmentSoftmax(scores, segments) => {
-                    let y = &self.nodes[id].value;
-                    let nseg = segments.iter().map(|&x| x as usize + 1).max().unwrap_or(0);
-                    let mut seg_dot = vec![0.0f64; nseg];
-                    for (i, &g) in segments.iter().enumerate() {
-                        seg_dot[g as usize] += d.get(i, 0) * y.get(i, 0);
-                    }
-                    let mut ds = Matrix::zeros(y.rows(), 1);
-                    for (i, &g) in segments.iter().enumerate() {
-                        let yi = y.get(i, 0);
-                        ds.set(i, 0, yi * (d.get(i, 0) - seg_dot[g as usize]));
-                    }
-                    acc(&mut grads, scores.0, ds);
-                }
                 Op::MulColBroadcast(c, a) => {
                     let cm = self.value(*c);
-                    let am = self.value(*a);
-                    let mut dc = Matrix::zeros(cm.rows(), 1);
-                    for i in 0..am.rows() {
-                        let mut s = 0.0;
-                        for j in 0..am.cols() {
-                            s += d.get(i, j) * am.get(i, j);
-                        }
-                        dc.set(i, 0, s);
+                    if needs(c) {
+                        acc(&mut grads, c.0, row_dots(&d, self.value(*a)));
                     }
-                    acc(&mut grads, c.0, dc);
-                    let mut da = d;
-                    for i in 0..da.rows() {
-                        let cv = cm.get(i, 0);
-                        for x in da.row_mut(i) {
-                            *x *= cv;
+                    if needs(a) {
+                        let mut da = d;
+                        scale_rows(&mut da, cm);
+                        acc(&mut grads, a.0, da);
+                    }
+                }
+                Op::Attention {
+                    hw,
+                    a_dst,
+                    a_src,
+                    src,
+                    dst,
+                    normalise,
+                    raw,
+                    alpha,
+                } => {
+                    // hw's slot is taken (the GAT skip connection's Add has
+                    // already written it) or zeroed, then scatter-added.
+                    let mut dhw = if needs(hw) {
+                        let (r, c) = self.value(*hw).shape();
+                        Some(grads[hw.0].take().unwrap_or_else(|| Matrix::zeros(r, c)))
+                    } else {
+                        None
+                    };
+                    let vg = attention::backward(
+                        self.value(*hw),
+                        self.value(*a_dst),
+                        self.value(*a_src),
+                        src,
+                        dst,
+                        *normalise,
+                        raw,
+                        alpha,
+                        &d,
+                        dhw.as_mut(),
+                    );
+                    if let Some(m) = dhw {
+                        grads[hw.0] = Some(m);
+                    }
+                    for (v, g) in [(a_src, vg.a_src), (a_dst, vg.a_dst)] {
+                        if needs(v) {
+                            acc(&mut grads, v.0, g);
                         }
                     }
-                    acc(&mut grads, a.0, da);
                 }
             }
         }
         Gradients { grads, shapes }
     }
+}
+
+/// `m[i][j] *= c[i]` for a column vector `c`.
+fn scale_rows(m: &mut Matrix, c: &Matrix) {
+    for (i, &cv) in c.data().iter().enumerate() {
+        for x in m.row_mut(i) {
+            *x *= cv;
+        }
+    }
+}
+
+/// `out[i] = Σ_j d[i][j]·a[i][j]`, each row summed in ascending column
+/// order from `0.0`. Four rows run interleaved so their add chains overlap
+/// instead of serialising on the adder's latency.
+fn row_dots(d: &Matrix, a: &Matrix) -> Matrix {
+    let (rows, cols) = a.shape();
+    let mut out = Matrix::zeros(rows, 1);
+    let quads = rows / 4 * 4;
+    for i in (0..quads).step_by(4) {
+        let mut acc = [0.0f64; 4];
+        for j in 0..cols {
+            for (q, s) in acc.iter_mut().enumerate() {
+                *s += d.get(i + q, j) * a.get(i + q, j);
+            }
+        }
+        out.data_mut()[i..i + 4].copy_from_slice(&acc);
+    }
+    for i in quads..rows {
+        let mut s = 0.0;
+        for j in 0..cols {
+            s += d.get(i, j) * a.get(i, j);
+        }
+        out.set(i, 0, s);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -609,7 +725,7 @@ mod tests {
     }
 
     #[test]
-    fn gather_scatter_roundtrip_gradients() {
+    fn gather_gradients_scatter_back() {
         let mut t = Tape::new();
         let x = t.leaf(Matrix::from_rows(&[&[1.0], &[2.0], &[3.0]]));
         let idx = Arc::new(vec![0u32, 0, 2]);
@@ -618,40 +734,54 @@ mod tests {
         let g = t.backward(l);
         // row 0 gathered twice, row 1 never, row 2 once
         assert_eq!(g.wrt(x).data(), &[2.0, 0.0, 1.0]);
-
-        let mut t2 = Tape::new();
-        let e = t2.leaf(Matrix::from_rows(&[&[1.0], &[2.0], &[3.0]]));
-        let sct = t2.scatter_add_rows(e, Arc::new(vec![1u32, 1, 0]), 2);
-        assert_eq!(t2.value(sct).data(), &[3.0, 3.0]);
-        let l2 = t2.sum(sct);
-        let g2 = t2.backward(l2);
-        assert_eq!(g2.wrt(e).data(), &[1.0, 1.0, 1.0]);
     }
 
     #[test]
-    fn segment_softmax_normalises_within_segments() {
+    fn constants_get_no_gradient_and_leave_leaf_gradients_unchanged() {
+        // x·w with x a constant: w's gradient is the same as with x a
+        // leaf, x's is never computed.
+        let x = Matrix::from_rows(&[&[1.0, -2.0], &[0.5, 3.0]]);
+        let w = Matrix::from_rows(&[&[0.3], &[-0.7]]);
+        let run = |as_const: bool| {
+            let mut t = Tape::new();
+            let xv = if as_const { t.constant(x.clone()) } else { t.leaf(x.clone()) };
+            let wv = t.leaf(w.clone());
+            let y = t.matmul(xv, wv);
+            let s = t.sigmoid(y);
+            let l = t.sum(s);
+            let g = t.backward(l);
+            (g.wrt(wv), g.wrt(xv))
+        };
+        let (w_leaf, x_leaf) = run(false);
+        let (w_const, x_const) = run(true);
+        assert_eq!(w_leaf, w_const);
+        assert!(x_leaf.max_abs() > 0.0);
+        assert_eq!(x_const, Matrix::zeros(2, 2));
+        // a loss built from constants alone has no gradient anywhere
         let mut t = Tape::new();
-        let s = t.leaf(Matrix::col_vector(&[1.0, 1.0, 5.0]));
-        let seg = Arc::new(vec![0u32, 0, 1]);
-        let y = t.segment_softmax(s, seg);
-        let v = t.value(y);
-        assert!((v.get(0, 0) - 0.5).abs() < 1e-12);
-        assert!((v.get(1, 0) - 0.5).abs() < 1e-12);
-        assert!((v.get(2, 0) - 1.0).abs() < 1e-12);
+        let c = t.constant(x.clone());
+        let l = t.sum(c);
+        assert_eq!(t.backward(l).wrt(c), Matrix::zeros(2, 2));
     }
 
     #[test]
-    fn segment_softmax_gradient_sums_to_zero_per_segment() {
-        // Softmax gradients within a segment sum to zero when upstream
-        // gradient is constant — a standard sanity identity.
+    fn attention_coefficients_sum_to_one_per_segment() {
+        // uniform scores (zero attention vectors): each segment averages
         let mut t = Tape::new();
-        let s = t.leaf(Matrix::col_vector(&[0.3, -0.7, 1.2]));
-        let seg = Arc::new(vec![0u32, 0, 0]);
-        let y = t.segment_softmax(s, seg);
-        let l = t.sum(y);
+        let hw = t.leaf(Matrix::from_rows(&[&[1.0], &[3.0]]));
+        let a = t.leaf(Matrix::zeros(1, 1));
+        let b = t.leaf(Matrix::zeros(1, 1));
+        let src = Arc::new(vec![0u32, 1, 0, 1]);
+        let dst = Arc::new(vec![1u32, 1, 0, 0]);
+        let by_target = t.attention(hw, a, b, src.clone(), dst.clone(), Normalise::ByTarget);
+        assert_eq!(t.value(by_target).data(), &[2.0, 2.0]);
+        // by source: node 0 splits 1.0 over two out-arcs, node 1 3.0
+        let by_source = t.attention(hw, a, b, src, dst, Normalise::BySource);
+        assert_eq!(t.value(by_source).data(), &[2.0, 2.0]);
+        let l = t.sum(by_source);
         let g = t.backward(l);
-        let total: f64 = g.wrt(s).data().iter().sum();
-        assert!(total.abs() < 1e-12, "sum {total}");
+        // each source row's coefficients sum to one: d(sum)/dhw = 1
+        assert_eq!(g.wrt(hw).data(), &[1.0, 1.0]);
     }
 
     #[test]
