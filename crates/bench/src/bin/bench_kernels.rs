@@ -6,8 +6,8 @@
 //! the fused GAT/GRAT attention kernel behind `Tape::attention` (forward
 //! + backward),
 //! `Csr::spmm`, `Csr::spmm_transpose`,
-//! the `simd` reductions (`dot`, `sum`) and the DP-SGD clip loop — in
-//! several configurations per kernel:
+//! the `simd` reductions (`dot`, `sum`), the DP-SGD clip loop and one
+//! whole DP-SGD step — in several configurations per kernel:
 //!
 //! * **naive** — the pre-tiling seed kernel (re-implemented here verbatim),
 //! * **per backend** — the current kernel pinned to each SIMD backend the
@@ -35,12 +35,17 @@
 //! cargo run --release -p privim-bench --bin bench_kernels -- --smoke  # tiny sizes, no file output
 //! ```
 
-use privim_graph::generators;
+use privim::{im_loss, train_dpgnn, DpSgdConfig, TrainItem};
+use privim_dp::mechanisms::gaussian_noise_vec;
+use privim_dp::sensitivity::node_sensitivity;
+use privim_gnn::{GnnConfig, GnnModel};
+use privim_graph::{generators, induced_subgraph};
 use privim_rt::bench::time_iters;
 use privim_rt::json::Value;
 use privim_rt::{ChaCha8Rng, Rng, SeedableRng};
+use privim_sampling::{freq_sampling, FreqConfig};
 use privim_tensor::attention::{self, Normalise};
-use privim_tensor::{simd, GradClip, Matrix, QuantWeights, SparseMatrix};
+use privim_tensor::{simd, GradClip, Matrix, QuantWeights, SparseMatrix, Tape};
 
 /// Seed-era dense kernel: plain `i → k → j` scalar loop with the zero-skip.
 /// Term order per output element is k-ascending, exactly like the blocked
@@ -245,6 +250,68 @@ fn naive_attention(c: &AttentionCase) -> Matrix {
     concat_outputs(&[&agg, &dhw, &g_dst, &g_src])
 }
 
+/// A fixed synthetic container at the `train-lastfm` shape: up to 137
+/// subgraphs of about 38 nodes, sampled by Algorithm 3 from a
+/// Barabási–Albert graph.
+fn synthetic_container(rng: &mut impl Rng) -> Vec<TrainItem> {
+    let g = generators::barabasi_albert(3000, 3, rng).with_uniform_weights(1.0);
+    let mut freq = vec![0u32; g.num_nodes()];
+    let cfg = FreqConfig::paper_defaults(38, 4, g.num_nodes());
+    let sets = freq_sampling(&g, &mut freq, &cfg, rng).unwrap_or_default();
+    let subs: Vec<_> = sets
+        .iter()
+        .take(137)
+        .map(|s| induced_subgraph(&g, s))
+        .collect();
+    TrainItem::from_container(&subs)
+}
+
+/// The model's parameters concatenated into one `1 × P` row.
+fn flat_params(params: &[Matrix]) -> Matrix {
+    let data: Vec<f64> = params.iter().flat_map(|p| p.data().to_vec()).collect();
+    Matrix::from_vec(1, data.len(), data)
+}
+
+/// One DP-SGD step (Algorithm 2, lines 3–9) composed from public
+/// functions, with one forward/backward pass per draw — the trainer before
+/// it shared one gradient among a step's repeated draws. Returns the
+/// updated parameters.
+fn per_draw_step(model: &GnnModel, items: &[TrainItem], cfg: &DpSgdConfig) -> Matrix {
+    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
+    let draws: Vec<usize> = (0..cfg.batch)
+        .map(|_| rng.gen_range(0..items.len()))
+        .collect();
+    let mut summed: Vec<Matrix> = model
+        .params()
+        .iter()
+        .map(|p| Matrix::zeros(p.rows(), p.cols()))
+        .collect();
+    for &i in &draws {
+        let item = &items[i];
+        let mut grads = Tape::with_scratch(|tape| {
+            let (probs, pvars) = model.forward(tape, &item.gt, &item.x);
+            let loss = im_loss(tape, &item.gt, probs, &cfg.loss);
+            let mut g = tape.backward(loss);
+            pvars.iter().map(|&v| g.take(v)).collect::<Vec<_>>()
+        });
+        GradClip::clip(&mut grads, cfg.clip);
+        for (s, g) in summed.iter_mut().zip(&grads) {
+            s.add_assign(g);
+        }
+    }
+    let sensitivity = node_sensitivity(cfg.clip, cfg.occurrence_bound);
+    for s in summed.iter_mut() {
+        let noise = gaussian_noise_vec(s.data().len(), cfg.sigma, sensitivity, &mut rng);
+        simd::add_assign(s.data_mut(), &noise);
+    }
+    let mut params = model.params().to_vec();
+    for (p, g) in params.iter_mut().zip(&summed) {
+        p.add_scaled_assign(g, -(cfg.lr / cfg.batch as f64));
+        simd::scale(p.data_mut(), 1.0 - cfg.weight_decay);
+    }
+    flat_params(&params)
+}
+
 fn random_matrix(rows: usize, cols: usize, rng: &mut impl Rng) -> Matrix {
     Matrix::from_vec(
         rows,
@@ -291,6 +358,8 @@ struct CaseResult {
     serial_secs: f64,
     par4_secs: f64,
     note: Option<&'static str>,
+    /// Gradients computed per DP-SGD step (the `dpsgd_step` case only).
+    gradients_per_step: Option<f64>,
 }
 
 impl CaseResult {
@@ -346,6 +415,9 @@ impl CaseResult {
                 Value::Num(self.serial_secs / self.par4_secs),
             ),
         ];
+        if let Some(g) = self.gradients_per_step {
+            fields.push(("gradients_per_step", Value::Num(g)));
+        }
         if let Some(note) = self.note {
             fields.push(("note", Value::Str(note.to_string())));
         }
@@ -398,6 +470,7 @@ fn run_case(
         serial_secs,
         par4_secs,
         note,
+        gradients_per_step: None,
     };
     println!(
         "{:<30} {:>11} {:>11} {:>11} {:>11}   x{:.2} simd, x{:.2} par4",
@@ -572,7 +645,7 @@ fn main() {
         "{:<30} {:>11} {:>11} {:>11} {:>11}",
         "kernel", "naive", "scalar", "serial", "par4"
     );
-    let results = vec![
+    let mut results = vec![
         run_case(
             "matmul",
             format!("{mm}x{mm}x{mm}"),
@@ -680,6 +753,47 @@ fn main() {
             Some("includes a per-iteration copy of the gradient list (both columns pay it)"),
         ),
     ];
+    // One warmed paper-shape DP-SGD step (3-layer GRAT, 32 hidden, B = 48)
+    // on the fixed synthetic container; the per-draw reference must land on
+    // the same parameter bits.
+    let items = synthetic_container(&mut rng);
+    let model = GnnModel::new(GnnConfig::paper_default(), &mut rng);
+    let step_cfg = DpSgdConfig {
+        batch: 48,
+        iters: 1,
+        lr: 0.1,
+        weight_decay: 0.01,
+        tail_average: false,
+        seed: 11,
+        ..DpSgdConfig::paper_default(1.0, 4)
+    };
+    let step = || {
+        let mut m = model.clone();
+        train_dpgnn(&mut m, &items, &step_cfg).unwrap_or_else(|e| {
+            eprintln!("error: dpsgd_step: {e}");
+            std::process::exit(1);
+        });
+        flat_params(m.params())
+    };
+    let gradients_per_step = {
+        let mut m = model.clone();
+        train_dpgnn(&mut m, &items, &step_cfg).map_or(0.0, |r| r.gradients_computed as f64)
+    };
+    let mut step_case = run_case(
+        "dpsgd_step",
+        format!("grat 3x32, B=48 of {} subgraphs", items.len()),
+        iters,
+        Some(&|| per_draw_step(&model, &items, &step_cfg)),
+        &step,
+        Some(
+            "one train_dpgnn step (iters = 1) from a warm pool; output = the updated \
+             parameters; naive = one forward/backward pass per draw, composed from public \
+             functions",
+        ),
+    );
+    step_case.gradients_per_step = Some(gradients_per_step);
+    println!("{:<30} {gradients_per_step} gradients/step", "");
+    results.push(step_case);
     let quant = run_quant_case(iters, &a, &b);
 
     if let Some(path) = out {

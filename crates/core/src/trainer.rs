@@ -5,6 +5,17 @@
 //! perturbed with noise calibrated to the node-level sensitivity
 //! `Δ_g = C·N_g` (Lemma 2), and applied as an averaged SGD step.
 //!
+//! ## Step structure
+//!
+//! The `B` draws of a step are uniform *with replacement*, so a container
+//! of `|G|` subgraphs repeats some of them within a step. All draws of a
+//! step see the same parameters, so a repeated subgraph's clipped
+//! gradient is the same bits every time: each step computes one gradient
+//! per *distinct* draw (in parallel, into per-draw buffers reused across
+//! steps), then adds one per draw into the step sum in draw order. The sum,
+//! the loss and the clip statistics are exactly those of one gradient per
+//! draw; only the duplicate forward/backward passes are skipped.
+//!
 //! ## Divergence sentinel
 //!
 //! Training under heavy calibrated noise (σ·C·N_g per coordinate) is
@@ -213,30 +224,53 @@ pub struct TrainReport {
     /// Working learning rate at the end of the run (halved once per
     /// divergence recovery).
     pub final_lr: f64,
+    /// Per-sample gradients actually computed: one per distinct subgraph
+    /// drawn in each step, so at most `B` per step and fewer whenever a
+    /// step draws a subgraph twice. A deterministic cost counter.
+    pub gradients_computed: u64,
 }
 
-/// Per-sample clipped gradient of one subgraph. Returns `(grads, loss,
-/// clipped)`.
-fn sample_gradient(
-    model: &GnnModel,
-    item: &TrainItem,
-    cfg: &DpSgdConfig,
-) -> (Vec<Matrix>, f64, bool) {
+/// One draw's clipped gradient, flattened over the model's parameters in
+/// [`GnnModel::params`] order, with its loss and clip flag. The trainer
+/// keeps one per distinct draw of a step and reuses them across steps.
+struct DrawGradient {
+    grad: Matrix,
+    loss: f64,
+    clipped: bool,
+}
+
+impl DrawGradient {
+    fn new(model: &GnnModel) -> Self {
+        DrawGradient {
+            grad: Matrix::zeros(1, model.num_parameters()),
+            loss: 0.0,
+            clipped: false,
+        }
+    }
+}
+
+/// Per-sample clipped gradient of one subgraph, written into `out`.
+fn sample_gradient(model: &GnnModel, item: &TrainItem, cfg: &DpSgdConfig, out: &mut DrawGradient) {
     // Scratch tape + pooled matrix buffers: once warm, the forward/backward
-    // draws every buffer from this thread's pool (DESIGN.md §10.3). The
-    // returned gradients leave with the caller.
+    // draws every buffer from this thread's pool and returns it there
+    // (DESIGN.md §10.3); only the copy in `out` leaves.
     Tape::with_scratch(|tape| {
         let (probs, pvars) = model.forward(tape, &item.gt, &item.x);
         let loss = im_loss(tape, &item.gt, probs, &cfg.loss);
-        let loss_val = tape.value(loss).get(0, 0);
+        out.loss = tape.value(loss).get(0, 0);
         let mut grads = tape.backward(loss);
         let mut gvec: Vec<Matrix> = pvars.iter().map(|&v| grads.take(v)).collect();
-        let mut clipped = false;
+        out.clipped = false;
         if cfg.sigma > 0.0 {
             let pre = GradClip::clip(&mut gvec, cfg.clip);
-            clipped = pre > cfg.clip;
+            out.clipped = pre > cfg.clip;
         }
-        (gvec, loss_val, clipped)
+        let mut rest = out.grad.data_mut();
+        for g in &gvec {
+            let (head, tail) = rest.split_at_mut(g.data().len());
+            head.copy_from_slice(g.data());
+            rest = tail;
+        }
     })
 }
 
@@ -308,6 +342,16 @@ pub fn train_dpgnn(
         .iter()
         .map(|p| Matrix::zeros(p.rows(), p.cols()))
         .collect();
+    // Per-step draw bookkeeping, allocated once: one gradient buffer per
+    // distinct draw, each container index's buffer in this step
+    // (`usize::MAX` when not drawn), and each draw's buffer.
+    let mut draw_grads: Vec<DrawGradient> = (0..cfg.batch.min(items.len()))
+        .map(|_| DrawGradient::new(model))
+        .collect();
+    let mut slot_of = vec![usize::MAX; items.len()];
+    let mut distinct: Vec<usize> = Vec::with_capacity(draw_grads.len());
+    let mut draw_slots: Vec<usize> = Vec::with_capacity(cfg.batch);
+    let mut gradients_computed = 0u64;
 
     for iter in 0..cfg.iters {
         // A recovery intervention for step `iter`; returns Err once the
@@ -350,20 +394,43 @@ pub fn train_dpgnn(
             .map(|_| rng.gen_range(0..items.len()))
             .collect();
 
-        // Lines 4–7: per-sample gradients, clipped, summed.
-        let results: Vec<(Vec<Matrix>, f64, bool)> =
-            privim_rt::par::map(&batch_idx, |&i| sample_gradient(model, &items[i], cfg));
+        // Lines 4–7: per-sample gradients, clipped, summed. One gradient
+        // per distinct draw, in first-occurrence order...
+        distinct.clear();
+        draw_slots.clear();
+        for &i in &batch_idx {
+            if slot_of[i] == usize::MAX {
+                slot_of[i] = distinct.len();
+                distinct.push(i);
+            }
+            draw_slots.push(slot_of[i]);
+        }
+        for &i in &distinct {
+            slot_of[i] = usize::MAX;
+        }
+        privim_rt::par::for_each_row_chunk(&mut draw_grads[..distinct.len()], 1, |first, chunk| {
+            for (k, out) in chunk.iter_mut().enumerate() {
+                sample_gradient(model, &items[distinct[first + k]], cfg, out);
+            }
+        });
+        gradients_computed += distinct.len() as u64;
 
+        // ...summed over all B draws in draw order: a repeated draw adds
+        // its gradient again.
         for s in summed.iter_mut() {
             s.data_mut().fill(0.0);
         }
         let mut batch_loss = 0.0;
-        for (gvec, lv, was_clipped) in results {
-            for (s, g) in summed.iter_mut().zip(&gvec) {
-                s.add_assign(g);
+        for &slot in &draw_slots {
+            let draw = &draw_grads[slot];
+            let mut rest = draw.grad.data();
+            for s in summed.iter_mut() {
+                let (head, tail) = rest.split_at(s.data().len());
+                privim_tensor::simd::add_assign(s.data_mut(), head);
+                rest = tail;
             }
-            batch_loss += lv;
-            clipped += usize::from(was_clipped);
+            batch_loss += draw.loss;
+            clipped += usize::from(draw.clipped);
             total_samples += 1;
         }
         let batch_loss = batch_loss / cfg.batch as f64;
@@ -473,6 +540,7 @@ pub fn train_dpgnn(
         applied_steps: applied,
         recoveries,
         final_lr: lr,
+        gradients_computed,
     })
 }
 
@@ -536,18 +604,21 @@ mod tests {
                 GnnConfig::paper_default_with(kind),
                 &mut ChaCha8Rng::seed_from_u64(4),
             );
+            let mut out = DrawGradient::new(&model);
             for _ in 0..3 {
                 for item in &items {
-                    drop(sample_gradient(&model, item, &cfg));
+                    sample_gradient(&model, item, &cfg, &mut out);
                 }
             }
             let before = privim_tensor::pool::fresh_allocations();
             for item in &items {
-                drop(sample_gradient(&model, item, &cfg));
+                sample_gradient(&model, item, &cfg, &mut out);
             }
             let fresh = privim_tensor::pool::fresh_allocations() - before;
             assert_eq!(fresh, 0, "{kind:?}: warmed samples allocated");
         }
+        // Whole warmed `train_dpgnn` calls, at one and two threads, are
+        // gated process-wide in `tests/warmed_step_allocations.rs`.
         // Tape size is the other deterministic cost counter: a GRAT
         // sample records 14 parameter leaves, the feature constant, 4
         // nodes per layer (h·W, attention, bias, relu), 3 for the readout
@@ -557,6 +628,38 @@ mod tests {
         let (probs, _) = model.forward(&mut tape, &items[0].gt, &items[0].x);
         im_loss(&mut tape, &items[0].gt, probs, &cfg.loss);
         assert_eq!(tape.len(), 39, "GRAT tape nodes per sample");
+    }
+
+    #[test]
+    fn one_gradient_per_distinct_draw() {
+        // Batch 16 from 6 subgraphs repeats draws in every step. The
+        // non-private run draws nothing but the batches from its RNG, so
+        // replaying the seed gives each step's distinct draws.
+        let items = make_items(7, 6);
+        assert_eq!(items.len(), 6);
+        let cfg = DpSgdConfig {
+            batch: 16,
+            iters: 5,
+            seed: 8,
+            ..base_cfg(0.0, 8)
+        };
+        let mut model = small_model(GnnKind::Grat, 9);
+        let report = train_dpgnn(&mut model, &items, &cfg).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
+        let distinct: u64 = (0..cfg.iters)
+            .map(|_| {
+                let mut drawn = [false; 6];
+                for _ in 0..cfg.batch {
+                    drawn[rng.gen_range(0..items.len())] = true;
+                }
+                drawn.iter().filter(|&&d| d).count() as u64
+            })
+            .sum();
+        assert_eq!(report.gradients_computed, distinct);
+        assert_eq!(
+            report.gradients_computed, 27,
+            "distinct draws of seed 8 (of 80 draws)"
+        );
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //! `hidden` units with ReLU, then a linear readout and sigmoid producing a
 //! per-node seed probability (the output the IM loss of Eq. 5 consumes).
 //!
-//! [`structures::GraphTensors`] precomputes each graph's message-passing
-//! operators (normalised adjacencies, attention edge lists) once so
-//! repeated forward passes only pay for the dense math.
+//! [`structures::GraphTensors`] holds each graph's message-passing
+//! operators (normalised adjacencies, built once on first use, and
+//! attention edge lists) so repeated forward passes only pay for the
+//! dense math.
 
 pub mod features;
 pub mod model;

@@ -12,7 +12,7 @@ use crate::features::FEATURE_DIM;
 use crate::structures::GraphTensors;
 use privim_rt::{PrivimError, PrivimResult, Rng};
 use privim_tensor::attention::{self, Normalise};
-use privim_tensor::{init, Matrix, SparseMatrix, Tape, Var};
+use privim_tensor::{init, Matrix, Tape, Var};
 use std::sync::Arc;
 
 /// Format tag written into every model checkpoint file.
@@ -372,16 +372,18 @@ impl GnnModel {
         let pvars: Vec<Var> = self.params.iter().map(|p| tape.leaf(p.clone())).collect();
         let mut h = tape.constant(x.clone());
         let mut pi = 0usize;
-        let gcn_id = tape.sparse_const(gt.adj_gcn.clone());
-        let mean_id = tape.sparse_const(gt.adj_mean.clone());
-        let sum_id = tape.sparse_const(gt.adj_sum.clone());
+        // The one sparse operator this kind aggregates with, registered by
+        // its first layer (attention reads the arc lists instead).
+        let mut adj_id: Option<usize> = None;
 
         for _ in 0..self.config.layers {
             h = match self.config.kind {
                 GnnKind::Gcn => {
                     let (w, b) = (pvars[pi], pvars[pi + 1]);
                     pi += 2;
-                    let agg = tape.spmm(gcn_id, h);
+                    let adj =
+                        *adj_id.get_or_insert_with(|| tape.sparse_const(gt.adj_gcn().clone()));
+                    let agg = tape.spmm(adj, h);
                     let lin = tape.matmul(agg, w);
                     let biased = tape.add_row_broadcast(lin, b);
                     tape.relu(biased)
@@ -389,7 +391,9 @@ impl GnnModel {
                 GnnKind::GraphSage => {
                     let (w, b) = (pvars[pi], pvars[pi + 1]);
                     pi += 2;
-                    let m = tape.spmm(mean_id, h);
+                    let adj =
+                        *adj_id.get_or_insert_with(|| tape.sparse_const(gt.adj_mean().clone()));
+                    let m = tape.spmm(adj, h);
                     let cat = tape.concat_cols(h, m);
                     let lin = tape.matmul(cat, w);
                     let biased = tape.add_row_broadcast(lin, b);
@@ -431,7 +435,9 @@ impl GnnModel {
                         pvars[pi + 4],
                     );
                     pi += 5;
-                    let neigh = tape.spmm(sum_id, h);
+                    let adj =
+                        *adj_id.get_or_insert_with(|| tape.sparse_const(gt.adj_sum().clone()));
+                    let neigh = tape.spmm(adj, h);
                     let one_plus_eps = tape.add_scalar(eps, 1.0);
                     let eps_col = tape.gather_rows(one_plus_eps, Arc::new(vec![0u32; gt.n]));
                     let scaled_self = tape.mul_col_broadcast(eps_col, h);
@@ -496,12 +502,12 @@ impl GnnModel {
                 GnnKind::Gcn => {
                     let (w, b) = (&self.params[pi], &self.params[pi + 1]);
                     pi += 2;
-                    relu(&add_bias(&gt.adj_gcn.spmm(&h).matmul(w), b))
+                    relu(&add_bias(&gt.adj_gcn().spmm(&h).matmul(w), b))
                 }
                 GnnKind::GraphSage => {
                     let (w, b) = (&self.params[pi], &self.params[pi + 1]);
                     pi += 2;
-                    let m = gt.adj_mean.spmm(&h);
+                    let m = gt.adj_mean().spmm(&h);
                     relu(&add_bias(&h.concat_cols(&m).matmul(w), b))
                 }
                 GnnKind::Gat | GnnKind::Grat => {
@@ -537,7 +543,7 @@ impl GnnModel {
                         &self.params[pi + 4],
                     );
                     pi += 5;
-                    let mut pre = gt.adj_sum.spmm(&h);
+                    let mut pre = gt.adj_sum().spmm(&h);
                     pre.add_scaled_assign(&h, 1.0 + eps.get(0, 0));
                     let a1 = relu(&add_bias(&pre.matmul(w1), b1));
                     relu(&add_bias(&a1.matmul(w2), b2))
@@ -566,19 +572,13 @@ pub(crate) fn relu(m: &Matrix) -> Matrix {
 }
 
 pub(crate) fn add_bias(m: &Matrix, b: &Matrix) -> Matrix {
+    assert_eq!(b.shape(), (1, m.cols()), "bias must be a 1 x cols row");
     let mut out = m.clone();
     for r in 0..out.rows() {
-        for (j, v) in out.row_mut(r).iter_mut().enumerate() {
-            *v += b.get(0, j);
-        }
+        privim_tensor::simd::add_assign(out.row_mut(r), b.data());
     }
     out
 }
-
-// `SparseMatrix` import is used by GraphTensors fields through methods only;
-// keep the type path alive for doc links.
-#[allow(unused)]
-fn _doc_anchor(_: &SparseMatrix) {}
 
 #[cfg(test)]
 mod tests {
@@ -626,6 +626,18 @@ mod tests {
             for (a, b) in tape_probs.iter().zip(&infer_probs) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{kind:?}: {a} vs {b}");
             }
+        }
+    }
+
+    #[test]
+    fn each_kind_builds_only_the_operator_it_reads() {
+        for kind in GnnKind::ALL {
+            let (model, gt, x) = setup(kind, 2);
+            let mut tape = Tape::new();
+            model.forward(&mut tape, &gt, &x);
+            model.infer(&gt, &x);
+            let want = usize::from(!matches!(kind, GnnKind::Gat | GnnKind::Grat));
+            assert_eq!(gt.operators_built(), want, "{kind:?}");
         }
     }
 

@@ -139,9 +139,9 @@ impl QuantGnnModel {
         let mut h = x.clone();
         for layer in &self.layers {
             h = match layer {
-                QLayer::Gcn { w, b } => relu(&add_bias(&w.matmul(&gt.adj_gcn.spmm(&h)), b)),
+                QLayer::Gcn { w, b } => relu(&add_bias(&w.matmul(&gt.adj_gcn().spmm(&h)), b)),
                 QLayer::Sage { w, b } => {
-                    let m = gt.adj_mean.spmm(&h);
+                    let m = gt.adj_mean().spmm(&h);
                     relu(&add_bias(&w.matmul(&h.concat_cols(&m)), b))
                 }
                 QLayer::Att { w, a_dst, a_src, b } => {
@@ -162,7 +162,7 @@ impl QuantGnnModel {
                     relu(&add_bias(&agg, b))
                 }
                 QLayer::Gin { w1, b1, w2, b2, eps } => {
-                    let mut pre = gt.adj_sum.spmm(&h);
+                    let mut pre = gt.adj_sum().spmm(&h);
                     pre.add_scaled_assign(&h, 1.0 + eps);
                     let a1 = relu(&add_bias(&w1.matmul(&pre), b1));
                     relu(&add_bias(&w2.matmul(&a1), b2))

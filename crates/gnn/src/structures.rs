@@ -1,31 +1,31 @@
-//! Precomputed message-passing operators per graph.
+//! Message-passing operators per graph.
 //!
 //! Building these once per subgraph (they are pure functions of the
 //! adjacency) keeps the per-step training cost at the dense math only.
+//! Each sparse operator is sorted into CSR on first use, so a graph pays
+//! only for the operators its GNN kind and loss read: a GRAT forward pass
+//! reads none of them, training adds the loss operator.
 
 use privim_graph::Graph;
 use privim_tensor::SparseMatrix;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-/// All sparse operators and edge lists a [`crate::GnnModel`] forward pass
+/// The sparse operators and edge lists a [`crate::GnnModel`] forward pass
 /// can need, derived from one graph.
 pub struct GraphTensors {
     /// Node count.
     pub n: usize,
-    /// IC-weighted in-adjacency (Eq. 2): row `u` holds `w_vu` for in-arcs
-    /// `v → u`. Drives the diffusion upper bound in the loss (Theorem 2).
-    pub adj_ic: Arc<SparseMatrix>,
-    /// Loss diffusion operator (Theorem 2 / Eq. 5): `adj_ic` plus unit
-    /// self-loops, so a seed counts itself as influenced — matching the
-    /// evaluation's `|S ∪ N⁺(S)|` coverage semantics.
-    pub adj_loss: Arc<SparseMatrix>,
-    /// GCN operator (Eq. 31 plus self-loops): `Â[u][v] = 1/√(d̃_u d̃_v)`
-    /// over in-arcs and self-loops, `d̃ = in-degree + 1`.
-    pub adj_gcn: Arc<SparseMatrix>,
-    /// Row-normalised in-adjacency (mean aggregator, GraphSAGE Eq. 29).
-    pub adj_mean: Arc<SparseMatrix>,
-    /// Plain 0/1 in-adjacency (sum aggregator, GIN Eq. 41).
-    pub adj_sum: Arc<SparseMatrix>,
+    /// In-adjacency copied from the graph (CSR: `in_sources[in_offsets[u]..
+    /// in_offsets[u + 1]]` are the sources of `u`'s in-arcs, with weights
+    /// in `in_weights`) — the input of every sparse operator below.
+    in_offsets: Vec<usize>,
+    in_sources: Vec<u32>,
+    in_weights: Vec<f64>,
+    adj_ic: OnceLock<Arc<SparseMatrix>>,
+    adj_loss: OnceLock<Arc<SparseMatrix>>,
+    adj_gcn: OnceLock<Arc<SparseMatrix>>,
+    adj_mean: OnceLock<Arc<SparseMatrix>>,
+    adj_sum: OnceLock<Arc<SparseMatrix>>,
     /// Attention arcs: sources per arc, *including* one self-loop per node
     /// (standard GAT practice so isolated nodes keep a message).
     pub att_src: Arc<Vec<u32>>,
@@ -34,32 +34,18 @@ pub struct GraphTensors {
 }
 
 impl GraphTensors {
-    /// Precompute every operator for `g`.
+    /// Copy `g`'s in-adjacency and build its attention arcs; the sparse
+    /// operators follow on first use.
     pub fn new(g: &Graph) -> Self {
         let n = g.num_nodes();
-
-        let mut ic = Vec::new();
-        let mut mean = Vec::new();
-        let mut sum = Vec::new();
-        for u in 0..n {
-            let srcs = g.in_neighbors(u as u32);
-            let ws = g.in_weights(u as u32);
-            let deg = srcs.len().max(1) as f64;
-            for (i, &v) in srcs.iter().enumerate() {
-                ic.push((u, v as usize, ws[i]));
-                mean.push((u, v as usize, 1.0 / deg));
-                sum.push((u, v as usize, 1.0));
-            }
-        }
-
-        // GCN: symmetric-ish normalisation on the in-adjacency + self loops.
-        let dt: Vec<f64> = (0..n).map(|u| (g.in_degree(u as u32) + 1) as f64).collect();
-        let mut gcn = Vec::new();
-        for u in 0..n {
-            gcn.push((u, u, 1.0 / dt[u]));
-            for &v in g.in_neighbors(u as u32) {
-                gcn.push((u, v as usize, 1.0 / (dt[u] * dt[v as usize]).sqrt()));
-            }
+        let mut in_offsets = Vec::with_capacity(n + 1);
+        let mut in_sources = Vec::with_capacity(g.num_arcs());
+        let mut in_weights = Vec::with_capacity(g.num_arcs());
+        in_offsets.push(0);
+        for u in 0..n as u32 {
+            in_sources.extend_from_slice(g.in_neighbors(u));
+            in_weights.extend_from_slice(g.in_weights(u));
+            in_offsets.push(in_sources.len());
         }
 
         // Attention arcs (src -> dst) plus self loops.
@@ -76,20 +62,100 @@ impl GraphTensors {
 
         GraphTensors {
             n,
-            adj_ic: Arc::new(SparseMatrix::from_triplets(n, n, ic.clone())),
-            adj_loss: {
-                let mut with_self = ic;
-                for u in 0..n {
-                    with_self.push((u, u, 1.0));
-                }
-                Arc::new(SparseMatrix::from_triplets(n, n, with_self))
-            },
-            adj_gcn: Arc::new(SparseMatrix::from_triplets(n, n, gcn)),
-            adj_mean: Arc::new(SparseMatrix::from_triplets(n, n, mean)),
-            adj_sum: Arc::new(SparseMatrix::from_triplets(n, n, sum)),
+            in_offsets,
+            in_sources,
+            in_weights,
+            adj_ic: OnceLock::new(),
+            adj_loss: OnceLock::new(),
+            adj_gcn: OnceLock::new(),
+            adj_mean: OnceLock::new(),
+            adj_sum: OnceLock::new(),
             att_src: Arc::new(att_src),
             att_dst: Arc::new(att_dst),
         }
+    }
+
+    /// Sources of `u`'s in-arcs.
+    fn in_neighbors(&self, u: usize) -> &[u32] {
+        &self.in_sources[self.in_offsets[u]..self.in_offsets[u + 1]]
+    }
+
+    /// `(u, v, w_vu)` for every in-arc `v → u`, rows ascending.
+    fn in_arcs(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
+        (0..self.n).flat_map(move |u| {
+            let ws = &self.in_weights[self.in_offsets[u]..self.in_offsets[u + 1]];
+            self.in_neighbors(u)
+                .iter()
+                .zip(ws)
+                .map(move |(&v, &w)| (u, v as usize, w))
+        })
+    }
+
+    fn build(&self, triplets: impl Iterator<Item = (usize, usize, f64)>) -> Arc<SparseMatrix> {
+        Arc::new(SparseMatrix::from_triplets(self.n, self.n, triplets))
+    }
+
+    /// IC-weighted in-adjacency (Eq. 2): row `u` holds `w_vu` for in-arcs
+    /// `v → u`. Drives the diffusion upper bound in the loss (Theorem 2).
+    pub fn adj_ic(&self) -> &Arc<SparseMatrix> {
+        self.adj_ic.get_or_init(|| self.build(self.in_arcs()))
+    }
+
+    /// Loss diffusion operator (Theorem 2 / Eq. 5): `adj_ic` plus unit
+    /// self-loops, so a seed counts itself as influenced — matching the
+    /// evaluation's `|S ∪ N⁺(S)|` coverage semantics.
+    pub fn adj_loss(&self) -> &Arc<SparseMatrix> {
+        self.adj_loss
+            .get_or_init(|| self.build(self.in_arcs().chain((0..self.n).map(|u| (u, u, 1.0)))))
+    }
+
+    /// GCN operator (Eq. 31 plus self-loops): `Â[u][v] = 1/√(d̃_u d̃_v)`
+    /// over in-arcs and self-loops, `d̃ = in-degree + 1`.
+    pub fn adj_gcn(&self) -> &Arc<SparseMatrix> {
+        self.adj_gcn.get_or_init(|| {
+            let dt: Vec<f64> = (0..self.n)
+                .map(|u| (self.in_neighbors(u).len() + 1) as f64)
+                .collect();
+            let mut gcn = Vec::with_capacity(self.in_sources.len() + self.n);
+            for u in 0..self.n {
+                gcn.push((u, u, 1.0 / dt[u]));
+                for &v in self.in_neighbors(u) {
+                    gcn.push((u, v as usize, 1.0 / (dt[u] * dt[v as usize]).sqrt()));
+                }
+            }
+            self.build(gcn.into_iter())
+        })
+    }
+
+    /// Row-normalised in-adjacency (mean aggregator, GraphSAGE Eq. 29).
+    pub fn adj_mean(&self) -> &Arc<SparseMatrix> {
+        self.adj_mean.get_or_init(|| {
+            self.build(
+                self.in_arcs()
+                    .map(|(u, v, _)| (u, v, 1.0 / self.in_neighbors(u).len().max(1) as f64)),
+            )
+        })
+    }
+
+    /// How many of the five sparse operators have been built so far.
+    #[cfg(test)]
+    pub(crate) fn operators_built(&self) -> usize {
+        [
+            &self.adj_ic,
+            &self.adj_loss,
+            &self.adj_gcn,
+            &self.adj_mean,
+            &self.adj_sum,
+        ]
+        .iter()
+        .filter(|op| op.get().is_some())
+        .count()
+    }
+
+    /// Plain 0/1 in-adjacency (sum aggregator, GIN Eq. 41).
+    pub fn adj_sum(&self) -> &Arc<SparseMatrix> {
+        self.adj_sum
+            .get_or_init(|| self.build(self.in_arcs().map(|(u, v, _)| (u, v, 1.0))))
     }
 }
 
@@ -110,7 +176,7 @@ mod tests {
     #[test]
     fn ic_adjacency_is_in_oriented() {
         let gt = GraphTensors::new(&path());
-        let d = gt.adj_ic.to_dense();
+        let d = gt.adj_ic().to_dense();
         assert_eq!(d.get(1, 0), 0.5); // arc 0->1 lands in row 1
         assert_eq!(d.get(2, 1), 0.25);
         assert_eq!(d.get(0, 1), 0.0);
@@ -120,7 +186,7 @@ mod tests {
     fn mean_rows_sum_to_one_or_zero() {
         let gt = GraphTensors::new(&path());
         let ones = Matrix::full(3, 1, 1.0);
-        let row_sums = gt.adj_mean.spmm(&ones);
+        let row_sums = gt.adj_mean().spmm(&ones);
         assert_eq!(row_sums.get(0, 0), 0.0); // no in-neighbours
         assert_eq!(row_sums.get(1, 0), 1.0);
         assert_eq!(row_sums.get(2, 0), 1.0);
@@ -129,7 +195,7 @@ mod tests {
     #[test]
     fn gcn_has_self_loops() {
         let gt = GraphTensors::new(&path());
-        let d = gt.adj_gcn.to_dense();
+        let d = gt.adj_gcn().to_dense();
         for v in 0..3 {
             assert!(d.get(v, v) > 0.0, "self loop missing at {v}");
         }
@@ -149,10 +215,20 @@ mod tests {
     }
 
     #[test]
+    fn operators_are_built_once_on_first_use() {
+        let gt = GraphTensors::new(&path());
+        assert_eq!(gt.operators_built(), 0);
+        let first = Arc::as_ptr(gt.adj_loss());
+        assert_eq!(gt.operators_built(), 1);
+        assert_eq!(Arc::as_ptr(gt.adj_loss()), first, "rebuilt on second use");
+        assert_eq!(gt.operators_built(), 1);
+    }
+
+    #[test]
     fn sum_adjacency_counts_in_neighbors() {
         let gt = GraphTensors::new(&path());
         let ones = Matrix::full(3, 1, 1.0);
-        let sums = gt.adj_sum.spmm(&ones);
+        let sums = gt.adj_sum().spmm(&ones);
         assert_eq!(sums.data(), &[0.0, 1.0, 1.0]);
     }
 }
@@ -168,14 +244,14 @@ mod loss_operator_tests {
         b.add_edge(0, 1, 0.5);
         let g = b.build();
         let gt = GraphTensors::new(&g);
-        let d = gt.adj_loss.to_dense();
+        let d = gt.adj_loss().to_dense();
         for v in 0..3 {
             assert_eq!(d.get(v, v), 1.0, "self loop at {v}");
         }
         assert_eq!(d.get(1, 0), 0.5);
         // binary seed vector p = e_0: influenced = {0 (self), 1 (via arc, capped)}
         let p = Matrix::col_vector(&[1.0, 0.0, 0.0]);
-        let inf = gt.adj_loss.spmm(&p);
+        let inf = gt.adj_loss().spmm(&p);
         assert_eq!(inf.data(), &[1.0, 0.5, 0.0]);
     }
 }

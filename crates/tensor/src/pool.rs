@@ -30,6 +30,7 @@ use std::alloc::{alloc, dealloc, Layout};
 use std::cell::{Cell, RefCell};
 use std::ops::{Deref, DerefMut};
 use std::ptr::NonNull;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Allocation alignment in bytes for every pooled buffer.
 pub const ALIGN: usize = 64;
@@ -87,6 +88,7 @@ impl AlignedBuf {
             return AlignedBuf::new();
         }
         let _ = FRESH.try_with(|n| n.set(n.get() + 1));
+        FRESH_ALL_THREADS.fetch_add(1, Ordering::Relaxed);
         let layout = layout_for(cap);
         // privim-lint: allow(unsafe, reason = "layout has non-zero size (cap > 0 checked above) and the null return is handled, which is the entire alloc contract")
         let raw = unsafe { alloc(layout) } as *mut f64;
@@ -248,6 +250,9 @@ struct BufferPool {
     retained: usize,
 }
 
+/// Fresh allocations summed over every thread of the process.
+static FRESH_ALL_THREADS: AtomicU64 = AtomicU64::new(0);
+
 thread_local! {
     static POOL: RefCell<BufferPool> = RefCell::new(BufferPool::default());
     /// Fresh allocations on this thread: pool misses plus buffer growth.
@@ -306,6 +311,14 @@ pub fn pooled_buffers() -> usize {
 /// counter — the difference across a warmed loop is its allocation count.
 pub fn fresh_allocations() -> u64 {
     FRESH.try_with(Cell::get).unwrap_or(0)
+}
+
+/// [`fresh_allocations`] summed over every thread of the process, pool
+/// workers included: the counter for parallel work. It also counts
+/// whatever else runs concurrently, so a gate on it needs a process of its
+/// own.
+pub fn process_fresh_allocations() -> u64 {
+    FRESH_ALL_THREADS.load(Ordering::Relaxed)
 }
 
 #[cfg(test)]

@@ -259,10 +259,7 @@ impl Tape {
         assert_eq!(am.cols(), bm.cols(), "bias width mismatch");
         let mut out = am.clone();
         for r in 0..out.rows() {
-            let row = out.row_mut(r);
-            for (j, x) in row.iter_mut().enumerate() {
-                *x += bm.get(0, j);
-            }
+            crate::simd::add_assign(out.row_mut(r), bm.data());
         }
         self.push(Op::AddRowBroadcast(a, bias), out)
     }

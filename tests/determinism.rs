@@ -673,3 +673,64 @@ fn trained_models_match_golden_bits_for_every_gnn_kind() {
         assert_eq!(art.sigma.to_bits(), sigma, "{kind:?}: σ moved");
     }
 }
+
+/// PrivIM*-style DP-SGD on a container of at most 4 subgraphs with batch
+/// 16, so every step draws most subgraphs several times. Pinned to golden
+/// hashes of the trained parameters and the loss trace, taken from the
+/// trainer that ran one forward/backward pass per draw: sharing one
+/// gradient among a step's repeated draws must not move a bit, at any
+/// thread count.
+#[test]
+fn duplicate_heavy_training_matches_golden_bits() {
+    let _guard = THREADS_LOCK.lock().unwrap();
+    let mut rng = ChaCha8Rng::seed_from_u64(1601);
+    let g = generators::barabasi_albert(200, 4, &mut rng).with_uniform_weights(1.0);
+    let mut freq = vec![0u32; g.num_nodes()];
+    let cfg = FreqConfig {
+        subgraph_size: 30,
+        return_prob: 0.3,
+        decay: 1.0,
+        sampling_rate: 1.0,
+        walk_len: 120,
+        threshold: 4,
+    };
+    let sets = freq_sampling(&g, &mut freq, &cfg, &mut rng).unwrap();
+    let subs: Vec<_> = sets
+        .iter()
+        .take(4)
+        .map(|s| induced_subgraph(&g, s))
+        .collect();
+    assert!(!subs.is_empty() && subs.len() <= 4);
+    let train_cfg = DpSgdConfig {
+        batch: 16,
+        iters: 6,
+        seed: 1602,
+        ..DpSgdConfig::paper_default(0.8, 4)
+    };
+    let golden: [(GnnKind, u64, u64); 2] = [
+        (GnnKind::Grat, 0xf05e_dfdc_c7a4_1cee, 0xe88a_08ff_420e_4624),
+        (GnnKind::Gcn, 0xed03_064c_1bfb_038d, 0xa3f0_ece5_127d_ebc3),
+    ];
+    for (kind, params_hash, loss_hash) in golden {
+        for threads in [1, 2] {
+            let (params, losses) = with_threads(threads, || {
+                let items = TrainItem::from_container(&subs);
+                let mut model = GnnModel::new(
+                    GnnConfig::paper_default_with(kind),
+                    &mut ChaCha8Rng::seed_from_u64(1603),
+                );
+                let report = train_dpgnn(&mut model, &items, &train_cfg).unwrap();
+                let params = model.params().iter().flat_map(|m| m.data().to_vec());
+                (fnv_bits(params), fnv_bits(report.loss_trace))
+            });
+            assert_eq!(
+                params, params_hash,
+                "{kind:?} at {threads} threads: parameters moved"
+            );
+            assert_eq!(
+                losses, loss_hash,
+                "{kind:?} at {threads} threads: loss trace moved"
+            );
+        }
+    }
+}
