@@ -17,6 +17,9 @@
 //! All models share the same interface: `r` message-passing layers of
 //! `hidden` units with ReLU, then a linear readout and sigmoid producing a
 //! per-node seed probability (the output the IM loss of Eq. 5 consumes).
+//! Each layer is written once (the crate-private `layers` module) and run
+//! by three paths: the training tape, dense inference, and the int8
+//! serving model ([`QuantGnnModel`]).
 //!
 //! [`structures::GraphTensors`] holds each graph's message-passing
 //! operators (normalised adjacencies, built once on first use, and
@@ -24,6 +27,7 @@
 //! dense math.
 
 pub mod features;
+mod layers;
 pub mod model;
 pub mod quant;
 pub mod structures;

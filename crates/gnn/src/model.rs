@@ -2,18 +2,18 @@
 //!
 //! [`GnnModel::forward`] builds the differentiable graph on a
 //! [`Tape`] (training path, per-subgraph), while [`GnnModel::infer`]
-//! runs the identical computation tape-free (inference path — needed for
+//! runs the same computation tape-free (inference path — needed for
 //! full-graph seed scoring where taping 200K-node intermediates would waste
-//! memory). Both paths run GAT/GRAT attention through the one kernel in
-//! [`privim_tensor::attention`]; a unit test pins the two paths to the
-//! same output bits.
+//! memory). Both are one layer walk (`layers::walk`) over two op
+//! sets, so the two paths agree by construction; a unit test pins them to
+//! the same output bits.
 
 use crate::features::FEATURE_DIM;
+use crate::layers::{self, TapeOps};
 use crate::structures::GraphTensors;
 use privim_rt::{PrivimError, PrivimResult, Rng};
-use privim_tensor::attention::{self, Normalise};
-use privim_tensor::{init, Matrix, Tape, Var};
-use std::sync::Arc;
+use privim_tensor::attention::Normalise;
+use privim_tensor::{Matrix, Tape, Var};
 
 /// Format tag written into every model checkpoint file.
 pub const CHECKPOINT_FORMAT: &str = "privim-gnn-checkpoint";
@@ -155,9 +155,10 @@ impl GnnConfig {
     }
 }
 
-/// A GNN with its parameters. Parameter layout is architecture-specific;
-/// use [`Self::params`]/[`Self::params_mut`] for optimisation and
-/// [`Self::forward`]'s returned vars to fetch per-parameter gradients.
+/// A GNN with its parameters. The parameter layout is architecture-specific
+/// (one table, `GnnConfig::layout`); use [`Self::params`]/
+/// [`Self::params_mut`] for optimisation and [`Self::forward`]'s returned
+/// vars to fetch per-parameter gradients.
 ///
 /// Serialisable: a trained (privatised) model can be persisted as JSON
 /// and shipped — under DP, releasing the trained parameters is exactly the
@@ -173,46 +174,7 @@ impl GnnModel {
     /// zero, GIN ε at zero — standard defaults).
     pub fn new(config: GnnConfig, rng: &mut impl Rng) -> Self {
         assert!(config.layers >= 1 && config.hidden >= 1 && config.in_dim >= 1);
-        let mut params = Vec::new();
-        let h = config.hidden;
-        for l in 0..config.layers {
-            let d_in = if l == 0 { config.in_dim } else { h };
-            match config.kind {
-                GnnKind::Gcn => {
-                    params.push(init::xavier_uniform(d_in, h, rng));
-                    params.push(Matrix::zeros(1, h));
-                }
-                GnnKind::GraphSage => {
-                    params.push(init::xavier_uniform(2 * d_in, h, rng));
-                    params.push(Matrix::zeros(1, h));
-                }
-                GnnKind::Gat | GnnKind::Grat => {
-                    params.push(init::xavier_uniform(d_in, h, rng));
-                    params.push(init::xavier_uniform(h, 1, rng).scale(0.1)); // a_dst
-                    params.push(init::xavier_uniform(h, 1, rng).scale(0.1)); // a_src
-                    params.push(Matrix::zeros(1, h));
-                }
-                GnnKind::Gin => {
-                    // Damped first-layer init: GIN's *sum* aggregation sees
-                    // pre-activations that scale with node degree, so
-                    // full-gain Xavier saturates the MLP on hubs and kills
-                    // the ranking signal; a 0.2 gain keeps hub activations
-                    // in the trainable range (the instability Fig. 9's
-                    // discussion attributes to GIN shows up here).
-                    params.push(init::xavier_uniform(d_in, h, rng).scale(0.2));
-                    params.push(Matrix::zeros(1, h));
-                    params.push(init::xavier_uniform(h, h, rng));
-                    params.push(Matrix::zeros(1, h));
-                    params.push(Matrix::zeros(1, 1)); // ε
-                }
-            }
-        }
-        // readout; the bias starts negative so initial seed probabilities
-        // sit near 0.1 instead of 0.5 — with unit IC weights that keeps the
-        // loss' diffusion term unsaturated and the hub-seeking gradient
-        // alive from step one.
-        params.push(init::xavier_uniform(h, 1, rng));
-        params.push(Matrix::full(1, 1, -2.0));
+        let params = config.layout().iter().map(|p| p.init(rng)).collect();
         GnnModel { config, params }
     }
 
@@ -336,29 +298,24 @@ impl GnnModel {
 
     /// Assemble a model from a config and an explicit parameter list
     /// (decoded checkpoints, dequantized bundle payloads). Validates the
-    /// layout against a freshly initialised reference model so a shape
-    /// mismatch surfaces as a typed error instead of a forward-pass panic.
+    /// shapes against the config's parameter layout so a mismatch
+    /// surfaces as a typed error instead of a forward-pass panic.
     pub fn from_parts(config: GnnConfig, params: Vec<Matrix>) -> PrivimResult<Self> {
         if config.layers < 1 || config.hidden < 1 || config.in_dim < 1 {
             return Err(PrivimError::invalid("gnn config dimensions must be >= 1"));
         }
-        let model = GnnModel { config, params };
-        // cheap sanity: rebuild a reference model and compare shapes
-        let mut rng = privim_rt::ChaCha8Rng::seed_from_u64(0);
-        use privim_rt::SeedableRng as _;
-        let reference = GnnModel::new(model.config, &mut rng);
-        if reference.params.len() != model.params.len()
-            || reference
-                .params
+        let layout = config.layout();
+        if layout.len() != params.len()
+            || layout
                 .iter()
-                .zip(&model.params)
-                .any(|(a, b)| a.shape() != b.shape())
+                .zip(&params)
+                .any(|(p, m)| p.shape != m.shape())
         {
             return Err(PrivimError::Parse(
                 "model checkpoint: parameter layout does not match config".into(),
             ));
         }
-        Ok(model)
+        Ok(GnnModel { config, params })
     }
 
     /// Differentiable forward pass: registers every parameter as a tape
@@ -367,110 +324,19 @@ impl GnnModel {
     /// `probabilities` is the `n×1` sigmoid seed-probability vector and
     /// `param_vars[i]` corresponds to `self.params()[i]`.
     pub fn forward(&self, tape: &mut Tape, gt: &GraphTensors, x: &Matrix) -> (Var, Vec<Var>) {
-        assert_eq!(x.rows(), gt.n, "feature row count mismatch");
-        assert_eq!(x.cols(), self.config.in_dim, "feature dim mismatch");
+        layers::check_features(&self.config, gt, x);
         let pvars: Vec<Var> = self.params.iter().map(|p| tape.leaf(p.clone())).collect();
-        let mut h = tape.constant(x.clone());
-        let mut pi = 0usize;
-        // The one sparse operator this kind aggregates with, registered by
-        // its first layer (attention reads the arc lists instead).
-        let mut adj_id: Option<usize> = None;
-
-        for _ in 0..self.config.layers {
-            h = match self.config.kind {
-                GnnKind::Gcn => {
-                    let (w, b) = (pvars[pi], pvars[pi + 1]);
-                    pi += 2;
-                    let adj =
-                        *adj_id.get_or_insert_with(|| tape.sparse_const(gt.adj_gcn().clone()));
-                    let agg = tape.spmm(adj, h);
-                    let lin = tape.matmul(agg, w);
-                    let biased = tape.add_row_broadcast(lin, b);
-                    tape.relu(biased)
-                }
-                GnnKind::GraphSage => {
-                    let (w, b) = (pvars[pi], pvars[pi + 1]);
-                    pi += 2;
-                    let adj =
-                        *adj_id.get_or_insert_with(|| tape.sparse_const(gt.adj_mean().clone()));
-                    let m = tape.spmm(adj, h);
-                    let cat = tape.concat_cols(h, m);
-                    let lin = tape.matmul(cat, w);
-                    let biased = tape.add_row_broadcast(lin, b);
-                    tape.relu(biased)
-                }
-                GnnKind::Gat | GnnKind::Grat => {
-                    let (w, a_dst, a_src, b) =
-                        (pvars[pi], pvars[pi + 1], pvars[pi + 2], pvars[pi + 3]);
-                    pi += 4;
-                    let hw = tape.matmul(h, w);
-                    let agg = tape.attention(
-                        hw,
-                        a_dst,
-                        a_src,
-                        gt.att_src.clone(),
-                        gt.att_dst.clone(),
-                        self.config.kind.normalise(),
-                    );
-                    // GAT-only skip connection: target-normalised attention
-                    // averages away the node's own magnitude information
-                    // (on attribute-poor graphs the degree signal inverts),
-                    // so GAT gets the standard self-features skip; GRAT's
-                    // source-normalised attention (Eq. 37-40) preserves
-                    // magnitude by itself.
-                    let agg_out = if self.config.kind == GnnKind::Gat {
-                        tape.add(agg, hw)
-                    } else {
-                        agg
-                    };
-                    let biased = tape.add_row_broadcast(agg_out, b);
-                    tape.relu(biased)
-                }
-                GnnKind::Gin => {
-                    let (w1, b1, w2, b2, eps) = (
-                        pvars[pi],
-                        pvars[pi + 1],
-                        pvars[pi + 2],
-                        pvars[pi + 3],
-                        pvars[pi + 4],
-                    );
-                    pi += 5;
-                    let adj =
-                        *adj_id.get_or_insert_with(|| tape.sparse_const(gt.adj_sum().clone()));
-                    let neigh = tape.spmm(adj, h);
-                    let one_plus_eps = tape.add_scalar(eps, 1.0);
-                    let eps_col = tape.gather_rows(one_plus_eps, Arc::new(vec![0u32; gt.n]));
-                    let scaled_self = tape.mul_col_broadcast(eps_col, h);
-                    let pre = tape.add(neigh, scaled_self);
-                    let l1 = tape.matmul(pre, w1);
-                    let l1b = tape.add_row_broadcast(l1, b1);
-                    let a1 = tape.relu(l1b);
-                    let l2 = tape.matmul(a1, w2);
-                    let l2b = tape.add_row_broadcast(l2, b2);
-                    tape.relu(l2b)
-                }
-            };
-        }
-        let (w_out, b_out) = (pvars[pi], pvars[pi + 1]);
-        let logits = tape.matmul(h, w_out);
-        let logits_b = tape.add_row_broadcast(logits, b_out);
-        let probs = tape.sigmoid(logits_b);
+        let x = tape.constant(x.clone());
+        let mut ops = TapeOps::new(tape, &pvars);
+        let (h, p) = layers::walk(&self.config, gt, &mut ops, x);
+        let probs = layers::readout(&mut ops, h, p);
         (probs, pvars)
     }
 
     /// Tape-free forward pass for inference on large graphs. Returns the
-    /// per-node seed probabilities. Must stay numerically identical to
-    /// [`Self::forward`]; `forward_and_infer_agree` pins this.
+    /// per-node seed probabilities, bit for bit those of [`Self::forward`].
     pub fn infer(&self, gt: &GraphTensors, x: &Matrix) -> Vec<f64> {
-        let h = self.hidden_features(gt, x);
-        let pi = self.params.len() - 2;
-        let (w_out, b_out) = (&self.params[pi], &self.params[pi + 1]);
-        let logits = add_bias(&h.matmul(w_out), b_out);
-        logits
-            .data()
-            .iter()
-            .map(|&v| 1.0 / (1.0 + (-v).exp()))
-            .collect()
+        layers::infer(&self.config, &self.params[..], gt, x)
     }
 
     /// Penultimate-layer node embeddings: the `n × hidden` activation
@@ -479,7 +345,7 @@ impl GnnModel {
     /// (embedding-similarity edge reconstruction), and exactly the hidden
     /// state [`Self::infer`] feeds the sigmoid readout.
     pub fn embed(&self, gt: &GraphTensors, x: &Matrix) -> Matrix {
-        self.hidden_features(gt, x)
+        layers::embed(&self.config, &self.params[..], gt, x)
     }
 
     /// Convenience: embeddings for a raw graph (builds tensors + features).
@@ -489,95 +355,12 @@ impl GnnModel {
         self.embed(&gt, &x)
     }
 
-    /// The shared layer loop of [`Self::infer`] and [`Self::embed`]:
-    /// runs all message-passing layers tape-free and returns the final
-    /// hidden activations.
-    fn hidden_features(&self, gt: &GraphTensors, x: &Matrix) -> Matrix {
-        assert_eq!(x.rows(), gt.n);
-        assert_eq!(x.cols(), self.config.in_dim);
-        let mut h = x.clone();
-        let mut pi = 0usize;
-        for _ in 0..self.config.layers {
-            h = match self.config.kind {
-                GnnKind::Gcn => {
-                    let (w, b) = (&self.params[pi], &self.params[pi + 1]);
-                    pi += 2;
-                    relu(&add_bias(&gt.adj_gcn().spmm(&h).matmul(w), b))
-                }
-                GnnKind::GraphSage => {
-                    let (w, b) = (&self.params[pi], &self.params[pi + 1]);
-                    pi += 2;
-                    let m = gt.adj_mean().spmm(&h);
-                    relu(&add_bias(&h.concat_cols(&m).matmul(w), b))
-                }
-                GnnKind::Gat | GnnKind::Grat => {
-                    let (w, a_dst, a_src, b) = (
-                        &self.params[pi],
-                        &self.params[pi + 1],
-                        &self.params[pi + 2],
-                        &self.params[pi + 3],
-                    );
-                    pi += 4;
-                    let hw = h.matmul(w);
-                    let (s_dst, s_src) = (hw.matmul(a_dst), hw.matmul(a_src));
-                    let mut agg = attention::forward(
-                        &hw,
-                        &s_dst,
-                        &s_src,
-                        &gt.att_src,
-                        &gt.att_dst,
-                        self.config.kind.normalise(),
-                    )
-                    .agg;
-                    if self.config.kind == GnnKind::Gat {
-                        agg.add_assign(&hw);
-                    }
-                    relu(&add_bias(&agg, b))
-                }
-                GnnKind::Gin => {
-                    let (w1, b1, w2, b2, eps) = (
-                        &self.params[pi],
-                        &self.params[pi + 1],
-                        &self.params[pi + 2],
-                        &self.params[pi + 3],
-                        &self.params[pi + 4],
-                    );
-                    pi += 5;
-                    let mut pre = gt.adj_sum().spmm(&h);
-                    pre.add_scaled_assign(&h, 1.0 + eps.get(0, 0));
-                    let a1 = relu(&add_bias(&pre.matmul(w1), b1));
-                    relu(&add_bias(&a1.matmul(w2), b2))
-                }
-            };
-        }
-        debug_assert_eq!(pi + 2, self.params.len(), "layer loop must consume all but the readout params");
-        h
-    }
-
     /// Convenience: score a raw graph (builds tensors + features).
     pub fn score_graph(&self, g: &privim_graph::Graph) -> Vec<f64> {
         let gt = GraphTensors::new(g);
         let x = crate::features::node_features(g);
         self.infer(&gt, &x)
     }
-}
-
-// -------- tape-free helpers (mirror tape op semantics) --------
-// pub(crate): the quantized serving model reuses these so its layer loop
-// stays operation-for-operation aligned with `hidden_features`; both run
-// attention through `privim_tensor::attention::forward`.
-
-pub(crate) fn relu(m: &Matrix) -> Matrix {
-    m.map(|x| x.max(0.0))
-}
-
-pub(crate) fn add_bias(m: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(b.shape(), (1, m.cols()), "bias must be a 1 x cols row");
-    let mut out = m.clone();
-    for r in 0..out.rows() {
-        privim_tensor::simd::add_assign(out.row_mut(r), b.data());
-    }
-    out
 }
 
 #[cfg(test)]

@@ -1,49 +1,62 @@
 //! Quantized serving models.
 //!
-//! [`QuantGnnModel`] is an int8 mirror of [`GnnModel`]'s tape-free
-//! inference path: every weight block with more than one row is stored as
-//! per-column-scaled `i8` codes ([`QuantWeights`]) and contracted by
-//! exact integer dot products at serve time — no dequantized matrix is
-//! ever materialised. Biases and GIN's ε (all `1×…`) stay dense `f64`;
-//! quantizing scalars saves nothing and costs accuracy.
+//! [`QuantGnnModel`] is [`GnnModel`]'s parameter list with every weight
+//! stored as per-column-scaled `i8` codes ([`QuantWeights`]) and
+//! contracted by exact integer dot products at serve time — no dequantized
+//! matrix is ever materialised. Biases and GIN's ε stay exact `f64`;
+//! quantizing them saves nothing and costs accuracy. Which parameters are
+//! weights is read from the layout table (`GnnConfig::layout`), by role
+//! rather than shape.
 //!
-//! The layer loop below is deliberately operation-for-operation aligned
-//! with `GnnModel::hidden_features` (it reuses the same crate-private
-//! helpers and the same attention kernel,
-//! [`privim_tensor::attention::forward`]), so the only divergence between
-//! the dense and quantized paths is the weight contraction itself — which
-//! keeps the quantization error analysable as a per-matmul perturbation.
-//! The int8 contraction quantizes activations per row, so the attention
-//! scores are computed once per node, exactly as they would be per arc.
+//! The layer walk is shared by construction: int8 inference is the one
+//! tape-free walk of `crate::layers` over an int8 weight store, so the
+//! only divergence from the dense path is the weight contraction itself —
+//! which keeps the quantization error analysable as a per-matmul
+//! perturbation. The int8 contraction quantizes activations per row, so
+//! the attention scores are computed once per node, exactly as they
+//! would be per arc.
 
-use crate::model::{add_bias, relu, GnnConfig, GnnKind, GnnModel};
+use crate::layers::{self, Role, Weights};
+use crate::model::{GnnConfig, GnnModel};
 use crate::structures::GraphTensors;
 use privim_rt::json::Value;
 use privim_rt::{PrivimError, PrivimResult};
-use privim_tensor::{attention, Matrix, QuantWeights};
+use privim_tensor::{Matrix, QuantWeights};
 
-/// One quantized message-passing layer (layout follows the architecture).
+/// One stored parameter of the int8 model.
 #[derive(Clone, Debug)]
-enum QLayer {
-    /// GCN: quantized weight + dense bias.
-    Gcn { w: QuantWeights, b: Matrix },
-    /// GraphSAGE: quantized (concatenated) weight + dense bias.
-    Sage { w: QuantWeights, b: Matrix },
-    /// GAT/GRAT: quantized weight and attention vectors + dense bias.
-    Att {
-        w: QuantWeights,
-        a_dst: QuantWeights,
-        a_src: QuantWeights,
-        b: Matrix,
-    },
-    /// GIN: two quantized MLP weights, dense biases, scalar ε.
-    Gin {
-        w1: QuantWeights,
-        b1: Matrix,
-        w2: QuantWeights,
-        b2: Matrix,
-        eps: f64,
-    },
+enum QParam {
+    /// A weight ([`Role::Weight`]): per-column int8 codes.
+    Int8(QuantWeights),
+    /// A bias or ε, carried over exactly.
+    Exact(Matrix),
+}
+
+impl QParam {
+    fn shape(&self) -> (usize, usize) {
+        match self {
+            QParam::Int8(w) => (w.in_dim(), w.out_dim()),
+            QParam::Exact(m) => m.shape(),
+        }
+    }
+}
+
+/// The int8 store: weights contract through [`QuantWeights::matmul`].
+impl Weights for [QParam] {
+    fn apply(&self, w: usize, h: &Matrix) -> Matrix {
+        match &self[w] {
+            QParam::Int8(q) => q.matmul(h),
+            QParam::Exact(m) => h.matmul(m),
+        }
+    }
+
+    fn exact(&self, p: usize) -> &Matrix {
+        match &self[p] {
+            QParam::Exact(m) => m,
+            // privim-lint: allow(panic, reason = "every constructor builds the list from the layout table, which stores only Role::Weight parameters as Int8, and the walk reads a bias or eps only at a Bias/Eps index")
+            QParam::Int8(_) => unreachable!("parameter {p} is an int8 weight, not a bias"),
+        }
+    }
 }
 
 /// Int8-quantized inference model for the serving path. Built from a
@@ -53,9 +66,8 @@ enum QLayer {
 #[derive(Clone, Debug)]
 pub struct QuantGnnModel {
     config: GnnConfig,
-    layers: Vec<QLayer>,
-    w_out: QuantWeights,
-    b_out: Matrix,
+    /// In [`GnnModel::params`] order.
+    params: Vec<QParam>,
 }
 
 impl QuantGnnModel {
@@ -63,56 +75,16 @@ impl QuantGnnModel {
     /// biases and ε are carried over exactly.
     pub fn from_model(m: &GnnModel) -> QuantGnnModel {
         let config = *m.config();
-        let p = m.params();
-        let mut pi = 0usize;
-        let mut layers = Vec::with_capacity(config.layers);
-        for _ in 0..config.layers {
-            layers.push(match config.kind {
-                GnnKind::Gcn => {
-                    let l = QLayer::Gcn {
-                        w: QuantWeights::quantize(&p[pi]),
-                        b: p[pi + 1].clone(),
-                    };
-                    pi += 2;
-                    l
-                }
-                GnnKind::GraphSage => {
-                    let l = QLayer::Sage {
-                        w: QuantWeights::quantize(&p[pi]),
-                        b: p[pi + 1].clone(),
-                    };
-                    pi += 2;
-                    l
-                }
-                GnnKind::Gat | GnnKind::Grat => {
-                    let l = QLayer::Att {
-                        w: QuantWeights::quantize(&p[pi]),
-                        a_dst: QuantWeights::quantize(&p[pi + 1]),
-                        a_src: QuantWeights::quantize(&p[pi + 2]),
-                        b: p[pi + 3].clone(),
-                    };
-                    pi += 4;
-                    l
-                }
-                GnnKind::Gin => {
-                    let l = QLayer::Gin {
-                        w1: QuantWeights::quantize(&p[pi]),
-                        b1: p[pi + 1].clone(),
-                        w2: QuantWeights::quantize(&p[pi + 2]),
-                        b2: p[pi + 3].clone(),
-                        eps: p[pi + 4].get(0, 0),
-                    };
-                    pi += 5;
-                    l
-                }
-            });
-        }
-        QuantGnnModel {
-            config,
-            layers,
-            w_out: QuantWeights::quantize(&p[pi]),
-            b_out: p[pi + 1].clone(),
-        }
+        let params = config
+            .layout()
+            .iter()
+            .zip(m.params())
+            .map(|(p, w)| match p.role {
+                Role::Weight => QParam::Int8(QuantWeights::quantize(w)),
+                Role::Bias | Role::Eps => QParam::Exact(w.clone()),
+            })
+            .collect();
+        QuantGnnModel { config, params }
     }
 
     /// Architecture configuration.
@@ -123,53 +95,7 @@ impl QuantGnnModel {
     /// Per-node seed probabilities — the quantized counterpart of
     /// [`GnnModel::infer`].
     pub fn infer(&self, gt: &GraphTensors, x: &Matrix) -> Vec<f64> {
-        let h = self.hidden_features(gt, x);
-        let logits = add_bias(&self.w_out.matmul(&h), &self.b_out);
-        logits
-            .data()
-            .iter()
-            .map(|&v| 1.0 / (1.0 + (-v).exp()))
-            .collect()
-    }
-
-    /// The quantized layer loop (mirrors `GnnModel::hidden_features`).
-    fn hidden_features(&self, gt: &GraphTensors, x: &Matrix) -> Matrix {
-        assert_eq!(x.rows(), gt.n);
-        assert_eq!(x.cols(), self.config.in_dim);
-        let mut h = x.clone();
-        for layer in &self.layers {
-            h = match layer {
-                QLayer::Gcn { w, b } => relu(&add_bias(&w.matmul(&gt.adj_gcn().spmm(&h)), b)),
-                QLayer::Sage { w, b } => {
-                    let m = gt.adj_mean().spmm(&h);
-                    relu(&add_bias(&w.matmul(&h.concat_cols(&m)), b))
-                }
-                QLayer::Att { w, a_dst, a_src, b } => {
-                    let hw = w.matmul(&h);
-                    let (s_dst, s_src) = (a_dst.matmul(&hw), a_src.matmul(&hw));
-                    let mut agg = attention::forward(
-                        &hw,
-                        &s_dst,
-                        &s_src,
-                        &gt.att_src,
-                        &gt.att_dst,
-                        self.config.kind.normalise(),
-                    )
-                    .agg;
-                    if self.config.kind == GnnKind::Gat {
-                        agg.add_assign(&hw);
-                    }
-                    relu(&add_bias(&agg, b))
-                }
-                QLayer::Gin { w1, b1, w2, b2, eps } => {
-                    let mut pre = gt.adj_sum().spmm(&h);
-                    pre.add_scaled_assign(&h, 1.0 + eps);
-                    let a1 = relu(&add_bias(&w1.matmul(&pre), b1));
-                    relu(&add_bias(&w2.matmul(&a1), b2))
-                }
-            };
-        }
-        h
+        layers::infer(&self.config, &self.params[..], gt, x)
     }
 
     /// Reconstruct a dense [`GnnModel`] by dequantizing every weight
@@ -178,30 +104,14 @@ impl QuantGnnModel {
     /// consumers that need the dense parameter layout (bundle
     /// compaction, diagnostics).
     pub fn to_dense_model(&self) -> PrivimResult<GnnModel> {
-        let mut params = Vec::new();
-        for layer in &self.layers {
-            match layer {
-                QLayer::Gcn { w, b } | QLayer::Sage { w, b } => {
-                    params.push(w.dequantize());
-                    params.push(b.clone());
-                }
-                QLayer::Att { w, a_dst, a_src, b } => {
-                    params.push(w.dequantize());
-                    params.push(a_dst.dequantize());
-                    params.push(a_src.dequantize());
-                    params.push(b.clone());
-                }
-                QLayer::Gin { w1, b1, w2, b2, eps } => {
-                    params.push(w1.dequantize());
-                    params.push(b1.clone());
-                    params.push(w2.dequantize());
-                    params.push(b2.clone());
-                    params.push(Matrix::full(1, 1, *eps));
-                }
-            }
-        }
-        params.push(self.w_out.dequantize());
-        params.push(self.b_out.clone());
+        let params = self
+            .params
+            .iter()
+            .map(|p| match p {
+                QParam::Int8(w) => w.dequantize(),
+                QParam::Exact(m) => m.clone(),
+            })
+            .collect();
         GnnModel::from_parts(self.config, params)
     }
 
@@ -213,36 +123,28 @@ impl QuantGnnModel {
     }
 
     /// JSON payload (`{"config", "layers", "w_out", "b_out"}`) for the
-    /// serve bundle; the bundle's CRC-32 covers it.
+    /// serve bundle; the bundle's CRC-32 covers it. Each entry of
+    /// `layers` is an object keyed by the layer's parameter names.
     pub fn to_json(&self) -> Value {
-        let layers = self
-            .layers
-            .iter()
-            .map(|l| match l {
-                QLayer::Gcn { w, b } | QLayer::Sage { w, b } => {
-                    Value::obj(vec![("w", w.to_json()), ("b", b.to_json())])
-                }
-                QLayer::Att { w, a_dst, a_src, b } => Value::obj(vec![
-                    ("w", w.to_json()),
-                    ("a_dst", a_dst.to_json()),
-                    ("a_src", a_src.to_json()),
-                    ("b", b.to_json()),
-                ]),
-                QLayer::Gin { w1, b1, w2, b2, eps } => Value::obj(vec![
-                    ("w1", w1.to_json()),
-                    ("b1", b1.to_json()),
-                    ("w2", w2.to_json()),
-                    ("b2", b2.to_json()),
-                    ("eps", Value::Num(*eps)),
-                ]),
-            })
+        let layout = self.config.layout();
+        let mut fields = layout.iter().zip(&self.params).map(|(p, q)| {
+            let v = match q {
+                QParam::Int8(w) => w.to_json(),
+                QParam::Exact(m) if p.role == Role::Eps => Value::Num(m.get(0, 0)),
+                QParam::Exact(m) => m.to_json(),
+            };
+            (p.name, v)
+        });
+        let per_layer = (layout.len() - 2) / self.config.layers;
+        let layers = (0..self.config.layers)
+            .map(|_| Value::obj(fields.by_ref().take(per_layer).collect()))
             .collect();
-        Value::obj(vec![
+        let mut doc = vec![
             ("config", self.config.to_json()),
             ("layers", Value::Arr(layers)),
-            ("w_out", self.w_out.to_json()),
-            ("b_out", self.b_out.to_json()),
-        ])
+        ];
+        doc.extend(fields);
+        Value::obj(doc)
     }
 
     /// Parse the [`Self::to_json`] form with typed errors on any layout
@@ -250,7 +152,8 @@ impl QuantGnnModel {
     pub fn from_json(v: &Value) -> PrivimResult<QuantGnnModel> {
         let bad = |msg: String| PrivimError::Parse(format!("quant model: {msg}"));
         let config = GnnConfig::from_json(
-            v.get("config").ok_or_else(|| bad("missing config".into()))?,
+            v.get("config")
+                .ok_or_else(|| bad("missing config".into()))?,
         )?;
         let layer_vals = v
             .get("layers")
@@ -263,51 +166,43 @@ impl QuantGnnModel {
                 config.layers
             )));
         }
-        let qw = |l: &Value, k: &str| {
-            l.get(k)
-                .ok_or_else(|| bad(format!("layer missing {k}")))
-                .and_then(|x| QuantWeights::from_json(x).map_err(bad))
-        };
-        let dm = |l: &Value, k: &str| {
-            l.get(k)
-                .ok_or_else(|| bad(format!("layer missing {k}")))
-                .and_then(|x| Matrix::from_json(x).map_err(bad))
-        };
-        let mut layers = Vec::with_capacity(layer_vals.len());
-        for l in layer_vals {
-            layers.push(match config.kind {
-                GnnKind::Gcn => QLayer::Gcn {
-                    w: qw(l, "w")?,
-                    b: dm(l, "b")?,
-                },
-                GnnKind::GraphSage => QLayer::Sage {
-                    w: qw(l, "w")?,
-                    b: dm(l, "b")?,
-                },
-                GnnKind::Gat | GnnKind::Grat => QLayer::Att {
-                    w: qw(l, "w")?,
-                    a_dst: qw(l, "a_dst")?,
-                    a_src: qw(l, "a_src")?,
-                    b: dm(l, "b")?,
-                },
-                GnnKind::Gin => QLayer::Gin {
-                    w1: qw(l, "w1")?,
-                    b1: dm(l, "b1")?,
-                    w2: qw(l, "w2")?,
-                    b2: dm(l, "b2")?,
-                    eps: l
-                        .get("eps")
-                        .and_then(|x| x.as_f64())
-                        .ok_or_else(|| bad("layer missing eps".into()))?,
-                },
-            });
-        }
-        Ok(QuantGnnModel {
-            config,
-            layers,
-            w_out: qw(v, "w_out")?,
-            b_out: dm(v, "b_out")?,
-        })
+        let layout = config.layout();
+        let per_layer = (layout.len() - 2) / config.layers;
+        // The object each parameter is read from: its layer's, or the
+        // top level for the readout.
+        let homes = layer_vals
+            .iter()
+            .flat_map(|l| std::iter::repeat_n(l, per_layer))
+            .chain([v, v]);
+        let params = layout
+            .iter()
+            .zip(homes)
+            .map(|(p, home)| {
+                let x = home
+                    .get(p.name)
+                    .ok_or_else(|| bad(format!("missing {}", p.name)))?;
+                let q = match p.role {
+                    Role::Weight => QParam::Int8(QuantWeights::from_json(x).map_err(bad)?),
+                    Role::Bias => QParam::Exact(Matrix::from_json(x).map_err(bad)?),
+                    Role::Eps => QParam::Exact(Matrix::full(
+                        1,
+                        1,
+                        x.as_f64()
+                            .ok_or_else(|| bad(format!("non-numeric {}", p.name)))?,
+                    )),
+                };
+                if q.shape() != p.shape {
+                    return Err(bad(format!(
+                        "{} is {:?}, the config needs {:?}",
+                        p.name,
+                        q.shape(),
+                        p.shape
+                    )));
+                }
+                Ok(q)
+            })
+            .collect::<PrivimResult<_>>()?;
+        Ok(QuantGnnModel { config, params })
     }
 }
 
@@ -315,6 +210,7 @@ impl QuantGnnModel {
 mod tests {
     use super::*;
     use crate::features::{node_features, FEATURE_DIM};
+    use crate::model::GnnKind;
     use privim_graph::generators;
     use privim_rt::{ChaCha8Rng, SeedableRng};
 
@@ -365,18 +261,22 @@ mod tests {
     }
 
     #[test]
-    fn wrong_layer_count_is_a_typed_error() {
+    fn layout_mismatches_are_typed_errors() {
         let (model, _, _) = setup(GnnKind::Gcn, 33);
         let q = QuantGnnModel::from_model(&model);
         let text = q.to_json().to_json_string();
-        // claim 3 layers while shipping 2 — must be a typed Parse error
-        let bumped = text.replacen("\"layers\":2", "\"layers\":3", 1);
-        assert_ne!(text, bumped, "config layer field not found");
-        let v = Value::parse(&bumped).unwrap();
-        assert!(matches!(
-            QuantGnnModel::from_json(&v),
-            Err(PrivimError::Parse(_))
-        ));
+        // claim 3 layers while shipping 2, or 9 hidden units while the
+        // parameters are 8 wide — each must be a typed Parse error, not a
+        // model that panics at inference
+        for (from, to) in [("\"layers\":2", "\"layers\":3"), ("\"hidden\":8", "\"hidden\":9")] {
+            let bumped = text.replacen(from, to, 1);
+            assert_ne!(text, bumped, "config field {from} not found");
+            let v = Value::parse(&bumped).unwrap();
+            assert!(
+                matches!(QuantGnnModel::from_json(&v), Err(PrivimError::Parse(_))),
+                "{to}"
+            );
+        }
     }
 
     #[test]

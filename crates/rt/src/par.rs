@@ -1,6 +1,6 @@
 //! Persistent worker-pool primitives replacing `rayon` in the workspace's
-//! hot paths (Monte-Carlo diffusion, RR-set sampling, per-sample gradients,
-//! tensor kernels).
+//! hot paths (Monte-Carlo diffusion, per-sample gradients, tensor
+//! kernels).
 //!
 //! Work is split into contiguous index chunks, one per worker, dispatched
 //! to a **lazily-initialized persistent pool** (a global job queue drained

@@ -4,7 +4,7 @@
 //! privim-serve pack --out bundle.json [--graph edges.txt [--directed]]
 //!              [--nodes 300] [--k 20] [--eps 2] [--seed 7]
 //!              [--method privim*|privim|privim+scs|non-private] [--fast]
-//!              [--quant none|int8|f16]
+//!              [--quant none|int8]
 //! privim-serve run --bundle bundle.json [--addr 127.0.0.1:7878]
 //!              [--workers 4] [--queue-cap 128] [--deadline-ms 5000]
 //!              [--runs 64] [--idle-timeout-ms 30000]
@@ -38,7 +38,7 @@ fn usage() -> ! {
                [--graph <edge-list> [--directed]] [--nodes 300]
                [--k 20] [--eps 2] [--seed 7] [--fast]
                [--method privim*|privim|privim+scs|non-private]
-               [--quant none|int8|f16]
+               [--quant none|int8]
                [--tenant-budget <eps> [--query-sigma 8] [--ledger-delta 1e-5]
                 [--retry-after 60]]
   privim-serve run --bundle <bundle.json> [--addr 127.0.0.1:7878]
@@ -66,7 +66,8 @@ struct Flags {
     seed: u64,
     fast: bool,
     method: String,
-    quant: bundle::QuantMode,
+    /// `--quant int8`: store the model as int8 codes (`model_q8`).
+    int8: bool,
     tenant_budget: Option<f64>,
     query_sigma: f64,
     ledger_delta: f64,
@@ -97,7 +98,7 @@ fn parse_flags(args: &[String]) -> Flags {
         seed: 7,
         fast: false,
         method: "privim*".into(),
-        quant: bundle::QuantMode::None,
+        int8: false,
         tenant_budget: None,
         query_sigma: 8.0,
         ledger_delta: 1e-5,
@@ -137,8 +138,11 @@ fn parse_flags(args: &[String]) -> Flags {
             "--fast" => f.fast = true,
             "--method" => f.method = val("--method"),
             "--quant" => {
-                f.quant =
-                    bundle::QuantMode::from_name(&val("--quant")).unwrap_or_else(|| usage())
+                f.int8 = match val("--quant").to_ascii_lowercase().as_str() {
+                    "none" => false,
+                    "int8" => true,
+                    _ => usage(),
+                }
             }
             "--tenant-budget" => {
                 f.tenant_budget =
@@ -248,20 +252,14 @@ fn cmd_pack(f: &Flags) {
         sigma: artifact.sigma,
         steps: artifact.steps as u64,
     };
-    let doc = match f.quant {
-        bundle::QuantMode::None => {
-            bundle::pack_parts(&artifact.model, &privacy, &graph, state.as_ref())
-        }
-        bundle::QuantMode::Int8 => bundle::pack_parts_q8(
-            &QuantGnnModel::from_model(&artifact.model),
-            &privacy,
-            &graph,
-            state.as_ref(),
-        ),
-        bundle::QuantMode::F16 => {
-            bundle::pack_parts_f16(&artifact.model, &privacy, &graph, state.as_ref())
-        }
-    };
+    let quant = f.int8.then(|| QuantGnnModel::from_model(&artifact.model));
+    let doc = bundle::pack_parts_in_mode(
+        &artifact.model,
+        quant.as_ref(),
+        &privacy,
+        &graph,
+        state.as_ref(),
+    );
     // Atomic replace (temp + fsync + rename + dir fsync): a crash
     // mid-pack can never leave a torn bundle at the target path.
     fsio::atomic_write_durable(&out, doc.to_json_string().as_bytes())
@@ -273,9 +271,18 @@ fn cmd_pack(f: &Flags) {
         graph.num_edges(),
         f.method,
         artifact.epsilon.map(|e| e.to_string()).unwrap_or_else(|| "inf".into()),
-        f.quant.name(),
+        quant_name(quant.is_some()),
         bundle::graph_fingerprint(&graph),
     );
+}
+
+/// The `--quant` value a bundle's storage form corresponds to.
+fn quant_name(int8: bool) -> &'static str {
+    if int8 {
+        "int8"
+    } else {
+        "none"
+    }
 }
 
 static STOP: AtomicBool = AtomicBool::new(false);
@@ -306,7 +313,7 @@ fn cmd_run(f: &Flags) {
         path.display(),
         b.graph.num_nodes(),
         b.fingerprint,
-        b.mode.name(),
+        quant_name(b.quant.is_some()),
         b.privacy.epsilon.map(|e| e.to_string()).unwrap_or_else(|| "inf".into()),
         b.privacy.delta,
         b.privacy.sigma,

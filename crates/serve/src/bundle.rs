@@ -20,11 +20,13 @@
 //! state, an unmetered one omits it). v3 added quantized model storage:
 //! the `model` section may be replaced by `model_q8` (per-column int8
 //! codes served through exact-integer SIMD matmuls, no dequantization at
-//! serve time) or `model_f16` (storage-only binary16, decoded to the
-//! dense path at load). Exactly one of the three model sections must be
-//! present. v1/v2 bundles still load — absent ledger means every tenant
-//! is unmetered, absent quant sections mean a dense model — so nothing
-//! packed before the version bumps needs re-packing.
+//! serve time). Exactly one of the two model sections must be present.
+//! v3 writers once offered a third, `model_f16` (storage-only binary16
+//! decoded to the dense path at load); it was removed, and a bundle
+//! carrying it is rejected with a typed error that says so. v1/v2
+//! bundles still load — absent ledger means every tenant is unmetered,
+//! absent quant sections mean a dense model — so nothing packed before
+//! the version bumps needs re-packing.
 //!
 //! Three integrity layers, each with a typed failure:
 //!
@@ -46,53 +48,19 @@
 use crate::cache::fnv1a64;
 use crate::ledger::LedgerState;
 use privim::ServeArtifact;
-use privim_gnn::{GnnConfig, GnnModel, QuantGnnModel};
+use privim_gnn::{GnnModel, QuantGnnModel};
 use privim_graph::{Graph, GraphBuilder, NodeId};
 use privim_rt::json::Value;
 use privim_rt::{crc, PrivimError, PrivimResult};
-use privim_tensor::quant::F16Matrix;
 use std::sync::Arc;
 
 /// Format tag of a serve bundle.
 pub const BUNDLE_FORMAT: &str = "privim-serve-bundle";
 /// Current bundle format version (v2 added the optional ledger section;
-/// v3 added the `model_q8`/`model_f16` quantized model sections).
+/// v3 added the `model_q8` quantized model section).
 pub const BUNDLE_VERSION: u64 = 3;
 /// Oldest version [`load`] still accepts (v1 = no ledger).
 pub const MIN_BUNDLE_VERSION: u64 = 1;
-
-/// How the model weights are stored in (and served from) a bundle.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QuantMode {
-    /// Dense `f64` checkpoint payload (the `model` section).
-    None,
-    /// Per-column int8 codes (`model_q8`), served via exact integer
-    /// matmuls without dequantization.
-    Int8,
-    /// Storage-only binary16 (`model_f16`), decoded to dense at load.
-    F16,
-}
-
-impl QuantMode {
-    /// CLI name (`none`/`int8`/`f16`).
-    pub fn name(self) -> &'static str {
-        match self {
-            QuantMode::None => "none",
-            QuantMode::Int8 => "int8",
-            QuantMode::F16 => "f16",
-        }
-    }
-
-    /// Parse a CLI name.
-    pub fn from_name(s: &str) -> Option<QuantMode> {
-        match s.to_ascii_lowercase().as_str() {
-            "none" => Some(QuantMode::None),
-            "int8" => Some(QuantMode::Int8),
-            "f16" => Some(QuantMode::F16),
-            _ => None,
-        }
-    }
-}
 
 /// The (ε, δ)-DP statement a bundle carries alongside the model.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -110,16 +78,13 @@ pub struct PrivacyStatement {
 /// A loaded, integrity-checked bundle, ready to serve.
 #[derive(Debug)]
 pub struct Bundle {
-    /// The trained model in dense form. For `model_f16` bundles this is
-    /// the (exactly re-encodable) decoded model; for `model_q8` bundles
-    /// it is the dequantized reconstruction (serving should prefer
-    /// [`Self::quant`]).
+    /// The trained model in dense form. For `model_q8` bundles it is the
+    /// dequantized reconstruction (serving should prefer [`Self::quant`]).
     pub model: GnnModel,
-    /// The int8 serving model (`model_q8` bundles only).
+    /// The int8 serving model (`model_q8` bundles only). Compaction
+    /// re-packs in the form the bundle was stored with: int8 when this is
+    /// set, dense otherwise.
     pub quant: Option<QuantGnnModel>,
-    /// Which model section the bundle was stored with (compaction
-    /// re-packs in the same mode).
-    pub mode: QuantMode,
     /// Privacy statement the model was trained under.
     pub privacy: PrivacyStatement,
     /// The serving graph (shared: the server and its CELF state both
@@ -251,65 +216,19 @@ pub fn pack_parts_q8(
     pack_parts_section(("model_q8", quant.to_json()), privacy, graph, ledger)
 }
 
-/// [`pack_parts`] storing the model as storage-only binary16 in a
-/// `model_f16` section. Loading decodes to a dense model; because
-/// `f16_encode(f16_decode(h)) == h`, re-packing that model reproduces
-/// the section bit-for-bit.
-pub fn pack_parts_f16(
-    model: &GnnModel,
-    privacy: &PrivacyStatement,
-    graph: &Graph,
-    ledger: Option<&LedgerState>,
-) -> Value {
-    pack_parts_section(("model_f16", model_to_f16_json(model)), privacy, graph, ledger)
-}
-
-/// Mode-aware pack: compaction re-packs a bundle in the mode it was
-/// loaded with. An `Int8` mode without a quantized model in hand (which
-/// [`load`] never produces) degrades to a dense pack rather than failing
-/// a snapshot.
+/// Pack in the bundle's storage form: compaction re-packs a `model_q8`
+/// bundle from its int8 model, and any other bundle densely.
 pub fn pack_parts_in_mode(
     model: &GnnModel,
     quant: Option<&QuantGnnModel>,
-    mode: QuantMode,
     privacy: &PrivacyStatement,
     graph: &Graph,
     ledger: Option<&LedgerState>,
 ) -> Value {
-    match (mode, quant) {
-        (QuantMode::Int8, Some(q)) => pack_parts_q8(q, privacy, graph, ledger),
-        (QuantMode::F16, _) => pack_parts_f16(model, privacy, graph, ledger),
-        _ => pack_parts(model, privacy, graph, ledger),
+    match quant {
+        Some(q) => pack_parts_q8(q, privacy, graph, ledger),
+        None => pack_parts(model, privacy, graph, ledger),
     }
-}
-
-fn model_to_f16_json(model: &GnnModel) -> Value {
-    let params: Vec<Value> = model
-        .params()
-        .iter()
-        .map(|m| F16Matrix::from_matrix(m).to_json())
-        .collect();
-    Value::obj(vec![
-        ("config", model.config().to_json()),
-        ("params", Value::Arr(params)),
-    ])
-}
-
-fn model_from_f16_json(v: &Value) -> PrivimResult<GnnModel> {
-    let bad = |msg: &str| PrivimError::Parse(format!("bundle model_f16: {msg}"));
-    let config = GnnConfig::from_json(v.get("config").ok_or_else(|| bad("missing config"))?)?;
-    let params = v
-        .get("params")
-        .and_then(|p| p.as_array())
-        .ok_or_else(|| bad("missing params"))?
-        .iter()
-        .map(|p| {
-            F16Matrix::from_json(p)
-                .map(|f| f.to_matrix())
-                .map_err(|e| bad(&e))
-        })
-        .collect::<PrivimResult<Vec<_>>>()?;
-    GnnModel::from_parts(config, params)
 }
 
 fn pack_parts_section(
@@ -425,30 +344,32 @@ pub fn load<R: std::io::Read>(mut r: R) -> PrivimResult<Bundle> {
         )));
     }
 
+    if payload.get("model_f16").is_some() {
+        return Err(PrivimError::invalid(
+            "bundle stores its model as model_f16, a format that was removed; \
+             re-pack it with --quant none or --quant int8",
+        ));
+    }
     let dense = payload.get("model");
     let q8 = payload.get("model_q8");
-    let f16 = payload.get("model_f16");
-    let present = dense.is_some() as u8 + q8.is_some() as u8 + f16.is_some() as u8;
-    if present != 1 {
-        return Err(PrivimError::Parse(format!(
-            "bundle must carry exactly one of model/model_q8/model_f16 ({present} present)"
-        )));
-    }
-    if version < 3 && dense.is_none() {
-        return Err(PrivimError::invalid(format!(
-            "quantized model sections require bundle version >= 3 (bundle is v{version})"
-        )));
-    }
-    let (model, quant, mode) = if let Some(mp) = dense {
-        (GnnModel::from_checkpoint_payload(mp)?, None, QuantMode::None)
-    } else if let Some(qp) = q8 {
-        let q = QuantGnnModel::from_json(qp)?;
-        // Dense reconstruction so embedding/export paths keep working;
-        // serving prefers the exact quantized model.
-        (q.to_dense_model()?, Some(q), QuantMode::Int8)
-    } else {
-        let fp = f16.ok_or_else(|| PrivimError::Parse("bundle missing model".into()))?;
-        (model_from_f16_json(fp)?, None, QuantMode::F16)
+    let (model, quant) = match (dense, q8) {
+        (Some(mp), None) => (GnnModel::from_checkpoint_payload(mp)?, None),
+        (None, Some(qp)) if version >= 3 => {
+            let q = QuantGnnModel::from_json(qp)?;
+            // Dense reconstruction so embedding/export paths keep working;
+            // serving prefers the exact quantized model.
+            (q.to_dense_model()?, Some(q))
+        }
+        (None, Some(_)) => {
+            return Err(PrivimError::invalid(format!(
+                "quantized model sections require bundle version >= 3 (bundle is v{version})"
+            )))
+        }
+        _ => {
+            return Err(PrivimError::Parse(
+                "bundle must carry exactly one of model/model_q8".into(),
+            ))
+        }
     };
 
     let priv_v = payload
@@ -495,7 +416,6 @@ pub fn load<R: std::io::Read>(mut r: R) -> PrivimResult<Bundle> {
     Ok(Bundle {
         model,
         quant,
-        mode,
         privacy,
         graph: Arc::new(graph),
         fingerprint: actual_fp,
@@ -622,7 +542,7 @@ mod tests {
         let v1 = text.replacen("\"version\":3", "\"version\":1", 1);
         let loaded = load(v1.as_bytes()).unwrap();
         assert!(loaded.ledger.is_none(), "v1 bundles are unmetered");
-        assert_eq!(loaded.mode, QuantMode::None);
+        assert!(loaded.quant.is_none(), "v1 bundles are dense");
         assert_eq!(loaded.fingerprint, graph_fingerprint(&g));
     }
 
@@ -639,7 +559,6 @@ mod tests {
         };
         let text = pack_parts_q8(&q, &privacy, &g, None).to_json_string();
         let loaded = load(text.as_bytes()).unwrap();
-        assert_eq!(loaded.mode, QuantMode::Int8);
         let lq = loaded.quant.as_ref().expect("q8 bundle carries a quant model");
         // The serving scores survive the round trip bitwise (int8 codes
         // and f64 scales are stored exactly).
@@ -649,34 +568,68 @@ mod tests {
             loaded.model.config().to_json().to_json_string(),
             q.config().to_json().to_json_string()
         );
-        // Compaction re-packs byte-for-byte: mode is not lossy.
-        let repacked =
-            pack_parts_in_mode(&loaded.model, loaded.quant.as_ref(), loaded.mode, &privacy, &g, None);
+        // Compaction re-packs byte-for-byte: the storage form is kept.
+        let repacked = pack_parts_in_mode(&loaded.model, loaded.quant.as_ref(), &privacy, &g, None);
         assert_eq!(repacked.to_json_string(), text);
     }
 
+    /// Re-pack `doc`'s payload after `edit` with the CRC *recomputed*, so
+    /// the checksum layer passes and the edited section itself is what
+    /// [`load`] must judge.
+    fn with_payload_edit(doc: Value, edit: impl FnOnce(&mut Vec<(String, Value)>)) -> String {
+        let Value::Obj(header) = doc else {
+            panic!("doc not an object")
+        };
+        let mut payload = header
+            .iter()
+            .find(|(k, _)| k == "payload")
+            .map(|(_, v)| v.clone())
+            .unwrap();
+        let Value::Obj(fields) = &mut payload else {
+            panic!("payload not an object")
+        };
+        edit(fields);
+        let crc = crc::crc32(payload.to_json_string().as_bytes());
+        Value::obj(vec![
+            ("format", Value::Str(BUNDLE_FORMAT.to_string())),
+            ("version", Value::Num(BUNDLE_VERSION as f64)),
+            ("crc32", Value::Str(format!("{crc:#010x}"))),
+            ("payload", payload),
+        ])
+        .to_json_string()
+    }
+
     #[test]
-    fn f16_bundle_round_trips_byte_for_byte_through_compaction() {
+    fn f16_bundles_are_rejected_with_a_typed_error() {
+        // A v3 bundle as the removed f16 writer laid it out: the dense
+        // `model` section replaced by `model_f16` ({"config", "params"}
+        // with binary16 bit patterns), CRC valid.
         let art = tiny_artifact(42);
         let g = tiny_graph(43);
-        let privacy = PrivacyStatement {
-            epsilon: art.epsilon,
-            delta: art.delta,
-            sigma: art.sigma,
-            steps: art.steps as u64,
-        };
-        let text = pack_parts_f16(&art.model, &privacy, &g, None).to_json_string();
-        let loaded = load(text.as_bytes()).unwrap();
-        assert_eq!(loaded.mode, QuantMode::F16);
-        assert!(loaded.quant.is_none(), "f16 decodes to the dense path");
-        // The loaded model is the f16-rounded model.
-        let expected = model_from_f16_json(&model_to_f16_json(&art.model)).unwrap();
-        assert_eq!(loaded.model.score_graph(&g), expected.score_graph(&g));
-        // f16_encode(f16_decode(h)) == h, so a compaction snapshot of the
-        // decoded model reproduces the original bundle bit-for-bit.
-        let repacked =
-            pack_parts_in_mode(&loaded.model, None, loaded.mode, &privacy, &g, None);
-        assert_eq!(repacked.to_json_string(), text);
+        let f16_section = Value::obj(vec![
+            ("config", art.model.config().to_json()),
+            (
+                "params",
+                Value::Arr(vec![Value::obj(vec![
+                    ("rows", Value::Num(1.0)),
+                    ("cols", Value::Num(1.0)),
+                    ("bits", Value::Arr(vec![Value::Num(15360.0)])),
+                ])]),
+            ),
+        ]);
+        let text = with_payload_edit(pack(&art, &g), |fields| {
+            let slot = fields.iter_mut().find(|(k, _)| k == "model").unwrap();
+            *slot = ("model_f16".to_string(), f16_section);
+        });
+        match load(text.as_bytes()).unwrap_err() {
+            PrivimError::InvalidInput(msg) => {
+                assert!(
+                    msg.contains("model_f16") && msg.contains("removed"),
+                    "{msg}"
+                )
+            }
+            other => panic!("expected InvalidInput, got {other:?}"),
+        }
     }
 
     #[test]
@@ -712,28 +665,14 @@ mod tests {
         // Rebuild the payload with an extra (or no) model section and the
         // CRC recomputed, so the model-section arity check itself fires.
         let rebuild = |extra: Option<(&'static str, Value)>, drop_model: bool| {
-            let doc = pack_parts(&art.model, &privacy, &g, None);
-            let Value::Obj(header) = doc else { panic!("doc not an object") };
-            let mut payload = header
-                .iter()
-                .find(|(k, _)| k == "payload")
-                .map(|(_, v)| v.clone())
-                .unwrap();
-            let Value::Obj(fields) = &mut payload else { panic!("payload not an object") };
-            if drop_model {
-                fields.retain(|(k, _)| k != "model");
-            }
-            if let Some((k, v)) = extra {
-                fields.push((k.to_string(), v));
-            }
-            let crc = crc::crc32(payload.to_json_string().as_bytes());
-            Value::obj(vec![
-                ("format", Value::Str(BUNDLE_FORMAT.to_string())),
-                ("version", Value::Num(BUNDLE_VERSION as f64)),
-                ("crc32", Value::Str(format!("{crc:#010x}"))),
-                ("payload", payload),
-            ])
-            .to_json_string()
+            with_payload_edit(pack_parts(&art.model, &privacy, &g, None), |fields| {
+                if drop_model {
+                    fields.retain(|(k, _)| k != "model");
+                }
+                if let Some((k, v)) = extra {
+                    fields.push((k.to_string(), v));
+                }
+            })
         };
         let doubled = rebuild(Some(("model_q8", q.to_json())), false);
         let none = rebuild(None, true);
@@ -790,24 +729,10 @@ mod tests {
             query_sigma: 8.0,
             retry_after_secs: 60,
         });
-        let doc = pack_with_ledger(&art, &g, Some(&state));
-        let Value::Obj(header) = doc else { panic!("doc not an object") };
-        let mut payload = header
-            .iter()
-            .find(|(k, _)| k == "payload")
-            .map(|(_, v)| v.clone())
-            .unwrap();
-        let Value::Obj(fields) = &mut payload else { panic!("payload not an object") };
-        let slot = fields.iter_mut().find(|(k, _)| k == "ledger").unwrap();
-        slot.1 = ledger;
-        let crc = crc::crc32(payload.to_json_string().as_bytes());
-        Value::obj(vec![
-            ("format", Value::Str(BUNDLE_FORMAT.to_string())),
-            ("version", Value::Num(BUNDLE_VERSION as f64)),
-            ("crc32", Value::Str(format!("{crc:#010x}"))),
-            ("payload", payload),
-        ])
-        .to_json_string()
+        with_payload_edit(pack_with_ledger(&art, &g, Some(&state)), |fields| {
+            let slot = fields.iter_mut().find(|(k, _)| k == "ledger").unwrap();
+            slot.1 = ledger;
+        })
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! accepted is ever abandoned, including one whose bytes are still
 //! arriving when shutdown begins.
 
-use crate::bundle::{Bundle, PrivacyStatement, QuantMode};
+use crate::bundle::{Bundle, PrivacyStatement};
 use crate::cache::ShardedLru;
 use crate::http::Request;
 use crate::ledger::{Admission, TenantLedger};
@@ -134,10 +134,9 @@ pub(crate) struct Shared {
     /// bundle).
     model: GnnModel,
     /// Int8 serving model of a `model_q8` bundle: embed scores come from
-    /// its integer path instead of the dense model. Kept with the storage
-    /// mode so compaction re-packs in the mode it loaded.
+    /// its integer path instead of the dense model, and compaction
+    /// re-packs it as int8.
     quant: Option<QuantGnnModel>,
-    mode: QuantMode,
     privacy: PrivacyStatement,
     pub(crate) shutting_down: AtomicBool,
     pub(crate) deadline: Duration,
@@ -227,7 +226,6 @@ pub fn start(bundle: Bundle, cfg: ServeConfig) -> PrivimResult<ServerHandle> {
         durability,
         model: bundle.model,
         quant: bundle.quant,
-        mode: bundle.mode,
         privacy: bundle.privacy,
         graph: bundle.graph,
         fingerprint: bundle.fingerprint,
@@ -399,7 +397,6 @@ fn compact(shared: &Shared, writer: &mut WalWriter) {
     let doc = crate::bundle::pack_parts_in_mode(
         &shared.model,
         shared.quant.as_ref(),
-        shared.mode,
         &shared.privacy,
         &shared.graph,
         Some(&state),

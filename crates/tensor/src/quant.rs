@@ -1,20 +1,15 @@
 //! Quantized weight storage for the serving path.
 //!
-//! Two formats, both produced at *pack* time so the serve loop never pays
-//! for conversion:
+//! One format, produced at *pack* time so the serve loop never pays for
+//! conversion: **int8** ([`QuantWeights`]), symmetric per-output-column
+//! scales over a transposed `i8` weight block. Inference quantizes each
+//! activation row on the fly (per-row scale), runs exact integer dot
+//! products ([`crate::simd::idot`]), and rescales once per output element —
+//! no dequantized weight matrix is ever materialised. Because the integer
+//! accumulation is exact, the quantized path is bit-identical across every
+//! `PRIVIM_SIMD` backend by construction.
 //!
-//! * **int8** ([`QuantWeights`]): symmetric per-output-column scales over
-//!   a transposed `i8` weight block. Inference quantizes each activation
-//!   row on the fly (per-row scale), runs exact integer dot products
-//!   ([`crate::simd::idot`]), and rescales once per output element — no
-//!   dequantized weight matrix is ever materialised. Because the integer
-//!   accumulation is exact, the quantized path is bit-identical across
-//!   every `PRIVIM_SIMD` backend by construction.
-//! * **f16** ([`F16Matrix`]): storage-only half-precision. Weights are
-//!   rounded to IEEE-754 binary16 at pack time and decoded back to `f64`
-//!   at load time; compute stays in the ordinary dense path.
-//!
-//! Error model (int8): with column scale `s_j = max_i |w_ij| / 127`,
+//! Error model: with column scale `s_j = max_i |w_ij| / 127`,
 //! dequantized weights satisfy `|ŵ_ij − w_ij| ≤ s_j / 2`, and the matmul
 //! additionally rounds each activation row with its own scale — the
 //! round-trip and end-to-end bounds are pinned by tests here and in
@@ -197,145 +192,6 @@ impl QuantWeights {
     }
 }
 
-/// Dense matrix stored as IEEE-754 binary16 bit patterns (storage-only
-/// half precision: decode back to `f64` before compute).
-#[derive(Clone, Debug, PartialEq)]
-pub struct F16Matrix {
-    rows: usize,
-    cols: usize,
-    bits: Vec<u16>,
-}
-
-impl F16Matrix {
-    /// Round every entry of `m` to the nearest (ties-to-even) binary16.
-    pub fn from_matrix(m: &Matrix) -> F16Matrix {
-        F16Matrix {
-            rows: m.rows(),
-            cols: m.cols(),
-            bits: m.data().iter().map(|&x| f16_encode(x)).collect(),
-        }
-    }
-
-    /// Decode back to a dense `f64` matrix (exact: every binary16 value
-    /// is representable in `f64`).
-    pub fn to_matrix(&self) -> Matrix {
-        Matrix::from_vec(
-            self.rows,
-            self.cols,
-            self.bits.iter().map(|&h| f16_decode(h)).collect(),
-        )
-    }
-
-    /// `(rows, cols)` of the stored matrix.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
-    /// JSON form: `{"rows", "cols", "bits"}` (flat `u16` array).
-    pub fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("rows", self.rows.to_json()),
-            ("cols", self.cols.to_json()),
-            ("bits", self.bits.as_slice().to_json()),
-        ])
-    }
-
-    /// Parse the [`Self::to_json`] form.
-    pub fn from_json(v: &Value) -> Result<F16Matrix, String> {
-        let rows = v
-            .get("rows")
-            .and_then(|x| x.as_usize())
-            .ok_or("f16: missing rows")?;
-        let cols = v
-            .get("cols")
-            .and_then(|x| x.as_usize())
-            .ok_or("f16: missing cols")?;
-        let bits: Vec<u16> = v
-            .get("bits")
-            .and_then(|x| x.as_array())
-            .ok_or("f16: missing bits")?
-            .iter()
-            .map(|x| {
-                x.as_u64()
-                    .filter(|&b| b <= u16::MAX as u64)
-                    .map(|b| b as u16)
-                    .ok_or("f16: bit pattern out of u16 range".to_string())
-            })
-            .collect::<Result<_, _>>()?;
-        if bits.len() != rows * cols {
-            return Err(format!("f16: {} bits for {rows}x{cols}", bits.len()));
-        }
-        Ok(F16Matrix { rows, cols, bits })
-    }
-}
-
-/// Encode `f64` → binary16 bit pattern, round-to-nearest-even, with
-/// overflow to ±inf and subnormal/zero flushing per IEEE-754.
-pub fn f16_encode(x: f64) -> u16 {
-    // go through f32 first (`as` rounds to nearest-even); binary16 has
-    // strictly less precision, so double rounding cannot change the result
-    let bits = (x as f32).to_bits();
-    let sign = ((bits >> 16) & 0x8000) as u16;
-    let exp = ((bits >> 23) & 0xff) as i32;
-    let man = bits & 0x007f_ffff;
-    if exp == 0xff {
-        // inf / NaN (keep a quiet-NaN payload bit so NaN stays NaN)
-        return sign | 0x7c00 | if man != 0 { 0x0200 } else { 0 };
-    }
-    let e = exp - 127 + 15;
-    if e >= 0x1f {
-        return sign | 0x7c00; // overflow → ±inf
-    }
-    if e <= 0 {
-        if e < -10 {
-            return sign; // underflows past the smallest subnormal → ±0
-        }
-        // subnormal: shift the (implicit-bit-restored) mantissa into place
-        let man = man | 0x0080_0000;
-        let shift = (14 - e) as u32;
-        let half = man >> shift;
-        let rem = man & ((1u32 << shift) - 1);
-        let tie = 1u32 << (shift - 1);
-        let rounded = if rem > tie || (rem == tie && half & 1 == 1) {
-            half + 1
-        } else {
-            half
-        };
-        return sign | rounded as u16;
-    }
-    let half = ((e as u32) << 10) | (man >> 13);
-    let rem = man & 0x1fff;
-    let rounded = if rem > 0x1000 || (rem == 0x1000 && half & 1 == 1) {
-        half + 1 // a mantissa carry rolls into the exponent correctly
-    } else {
-        half
-    };
-    sign | rounded as u16
-}
-
-/// Decode a binary16 bit pattern to `f64` (exact).
-pub fn f16_decode(h: u16) -> f64 {
-    let neg = h & 0x8000 != 0;
-    let exp = ((h >> 10) & 0x1f) as i32;
-    let man = (h & 0x3ff) as u32;
-    let mag = if exp == 0x1f {
-        if man != 0 {
-            f64::NAN
-        } else {
-            f64::INFINITY
-        }
-    } else if exp == 0 {
-        man as f64 * (2.0f64).powi(-24) // subnormal (or zero)
-    } else {
-        (1.0 + man as f64 / 1024.0) * (2.0f64).powi(exp - 15)
-    };
-    if neg {
-        -mag
-    } else {
-        mag
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,51 +289,5 @@ mod tests {
         let back = QuantWeights::from_json(&q.to_json()).unwrap();
         assert_eq!(q, back);
         assert!(QuantWeights::from_json(&Value::obj(vec![])).is_err());
-    }
-
-    #[test]
-    fn f16_round_trips_representable_values() {
-        for v in [0.0, -0.0, 1.0, -1.0, 0.5, 2.25, -1024.0, 65504.0, 6.103515625e-5] {
-            assert_eq!(f16_decode(f16_encode(v)), v, "{v}");
-        }
-    }
-
-    #[test]
-    fn f16_special_values() {
-        assert_eq!(f16_decode(f16_encode(f64::INFINITY)), f64::INFINITY);
-        assert_eq!(f16_decode(f16_encode(f64::NEG_INFINITY)), f64::NEG_INFINITY);
-        assert!(f16_decode(f16_encode(f64::NAN)).is_nan());
-        // beyond the binary16 max (65504) overflows to inf
-        assert_eq!(f16_decode(f16_encode(1e6)), f64::INFINITY);
-        // tiny values flush through the subnormal range to zero
-        assert_eq!(f16_decode(f16_encode(1e-12)), 0.0);
-        // smallest subnormal survives
-        let tiny = (2.0f64).powi(-24);
-        assert_eq!(f16_decode(f16_encode(tiny)), tiny);
-    }
-
-    #[test]
-    fn f16_rounds_to_nearest_even() {
-        // 1 + 2^-11 is exactly halfway between 1.0 and the next binary16
-        // (1 + 2^-10); ties-to-even picks the even mantissa (1.0)
-        assert_eq!(f16_decode(f16_encode(1.0 + (2.0f64).powi(-11))), 1.0);
-        // just above the tie rounds up
-        let up = 1.0 + (2.0f64).powi(-11) + (2.0f64).powi(-20);
-        assert_eq!(f16_decode(f16_encode(up)), 1.0 + (2.0f64).powi(-10));
-    }
-
-    #[test]
-    fn f16_matrix_error_bound_and_json_round_trip() {
-        let m = test_matrix(11, 6, 8);
-        let h = F16Matrix::from_matrix(&m);
-        let back = h.to_matrix();
-        assert_eq!(back.shape(), m.shape());
-        for (a, b) in back.data().iter().zip(m.data()) {
-            // binary16 has 11 significand bits → rel err ≤ 2^-11
-            assert!((a - b).abs() <= b.abs() * (2.0f64).powi(-11) + 1e-12);
-        }
-        let rt = F16Matrix::from_json(&h.to_json()).unwrap();
-        assert_eq!(rt, h);
-        assert!(F16Matrix::from_json(&Value::obj(vec![])).is_err());
     }
 }

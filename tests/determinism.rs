@@ -586,9 +586,9 @@ fn served_embed_response_byte_identical_across_simd_backends() {
 }
 
 /// Quantization round-trip error bounds through the public API: int8
-/// dequantization stays within half a quantization step per element, f16
-/// re-encoding is the identity, and the quantized model's served
-/// probabilities track the dense model closely.
+/// dequantization stays within half a quantization step per element, and
+/// the quantized model's served probabilities track the dense model
+/// closely.
 #[test]
 fn quantization_round_trip_errors_are_bounded() {
     let mut rng = ChaCha8Rng::seed_from_u64(909);
@@ -606,16 +606,6 @@ fn quantization_round_trip_errors_are_bounded() {
             );
         }
     }
-    // f16 storage: decoding is exact, so re-encoding any finite or
-    // infinite binary16 value reproduces it bit-for-bit (this is what
-    // makes f16 bundle compaction lossless).
-    for h in [0u16, 1, 0x0400, 0x3C00, 0x7BFF, 0x8001, 0xBC00, 0x7C00, 0xFC00] {
-        assert_eq!(
-            privim_tensor::quant::f16_encode(privim_tensor::quant::f16_decode(h)),
-            h,
-            "f16 re-encode not identity for {h:#06x}"
-        );
-    }
     // Model level: int8 inference tracks dense inference within a small
     // probability drift (scores are sigmoid outputs in [0, 1]).
     let g = generators::barabasi_albert(80, 3, &mut rng).with_uniform_weights(1.0);
@@ -631,15 +621,16 @@ fn quantization_round_trip_errors_are_bounded() {
     }
 }
 
+/// 64-bit FNV-1a over `bytes`.
+fn fnv_bytes(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// 64-bit FNV-1a over the little-endian bits of `values`.
 fn fnv_bits(values: impl IntoIterator<Item = f64>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in values {
-        for b in v.to_bits().to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    fnv_bytes(values.into_iter().flat_map(|v| v.to_bits().to_le_bytes()))
 }
 
 /// Trained parameters, full-graph scores and σ of PrivIM* for every GNN
@@ -671,6 +662,44 @@ fn trained_models_match_golden_bits_for_every_gnn_kind() {
         let scores = art.model.score_graph(&g);
         assert_eq!(fnv_bits(scores), scores_hash, "{kind:?}: full-graph scores moved");
         assert_eq!(art.sigma.to_bits(), sigma, "{kind:?}: σ moved");
+    }
+}
+
+/// The int8 serving model of every GNN kind, pinned to golden hashes of
+/// its full-graph scores and of its `model_q8` JSON text: the scores pin
+/// the quantized layer walk, the text pins the bundle section that v3
+/// `model_q8` bundles already on disk were written with. The last row is
+/// a one-unit-wide GRAT, whose `1×1` biases stay exact while its `1×1`
+/// attention vectors are quantized.
+#[test]
+fn quantized_models_match_golden_bits_for_every_gnn_kind() {
+    let mut rng = ChaCha8Rng::seed_from_u64(1801);
+    let g = generators::barabasi_albert(150, 3, &mut rng).with_uniform_weights(1.0);
+    let narrow = GnnConfig {
+        layers: 2,
+        hidden: 1,
+        ..GnnConfig::paper_default()
+    };
+    let configs = GnnKind::ALL
+        .into_iter()
+        .map(GnnConfig::paper_default_with)
+        .chain([narrow]);
+    let golden: [(GnnKind, u64, u64); 6] = [
+        (GnnKind::GraphSage, 0xe2e1_5815_19c3_0484, 0xfc14_55ea_3de7_9c85),
+        (GnnKind::Gcn, 0x6792_a685_3807_21d7, 0xd779_cd2b_d43a_672a),
+        (GnnKind::Gat, 0x5fa1_9f67_5a96_dcd5, 0xe821_9869_e6ca_f0af),
+        (GnnKind::Gin, 0x5451_79c4_eae3_42e8, 0x410d_7899_c2ad_bccd),
+        (GnnKind::Grat, 0xca6b_a7ec_df27_965b, 0x8ec9_3ef1_99b1_b795),
+        (GnnKind::Grat, 0x23f4_7a1e_d824_34a9, 0xff92_70e2_ba6a_7c4f),
+    ];
+    for (cfg, (kind, scores_hash, json_hash)) in configs.zip(golden) {
+        assert_eq!(cfg.kind, kind);
+        let model = GnnModel::new(cfg, &mut ChaCha8Rng::seed_from_u64(1802));
+        let q = privim_gnn::QuantGnnModel::from_model(&model);
+        let scores = fnv_bits(q.score_graph(&g));
+        let json = fnv_bytes(q.to_json().to_json_string().into_bytes());
+        assert_eq!(scores, scores_hash, "{kind:?} (hidden {}): int8 scores moved", cfg.hidden);
+        assert_eq!(json, json_hash, "{kind:?} (hidden {}): model_q8 JSON moved", cfg.hidden);
     }
 }
 
